@@ -20,12 +20,7 @@ from .doubling import (
     double_signature,
     normalize_kind,
 )
-from .geometry import (
-    DegenerateError,
-    PointSet,
-    count_crossings,
-    count_crossings_brute,
-)
+from .geometry import DegenerateError, PointSet, count_crossings_brute
 from .halving import halving_matching, halving_matching_sig
 from .heuristics import (
     SearchBudget,
@@ -36,19 +31,14 @@ from .heuristics import (
 )
 from .io import (
     ParseError,
-    format_points,
+    format_drawing,
     format_signature_text,
     load_drawing,
     load_points,
 )
 from .pipeline import PipelineConfig, orchestrate
-from .registry import Registry, bound_for, verify
-from .signatures import (
-    Signature,
-    count_crossings_sig,
-    count_crossings_sig_brute,
-    signature_of,
-)
+from .registry import Registry, bound_for, count_drawing, verify
+from .signatures import Signature, count_crossings_sig_brute, signature_of
 from .svg import export_svg
 
 
@@ -59,12 +49,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _count(drawing):
-    if isinstance(drawing, Signature):
-        return count_crossings_sig(drawing)
-    return count_crossings(drawing)
-
-
 def _count_brute(drawing):
     if isinstance(drawing, Signature):
         return count_crossings_sig_brute(drawing)
@@ -72,10 +56,7 @@ def _count_brute(drawing):
 
 
 def _dump(drawing):
-    if isinstance(drawing, Signature):
-        sys.stdout.write(format_signature_text(drawing))
-    else:
-        sys.stdout.write(format_points(drawing))
+    sys.stdout.write(format_drawing(drawing))
 
 
 def _progress_printer():
@@ -92,7 +73,7 @@ def _progress_printer():
 
 def cmd_count(args):
     drawing = load_drawing(args.file)
-    fast = _count(drawing)
+    fast = count_drawing(drawing)
     if args.brute:
         brute = _count_brute(drawing)
         if brute != fast:
@@ -106,8 +87,8 @@ def cmd_bound(args):
     kind = normalize_kind(args.kind)
     if kind == "rect" and isinstance(drawing, Signature):
         raise ValueError("a signature only certifies the pseudolinear bound")
-    n = drawing.n if isinstance(drawing, Signature) else len(drawing)
-    crossings = _count(drawing)
+    n = drawing.n
+    crossings = count_drawing(drawing)
     bound = bound_for(kind, n, crossings)
     print(f"n = {n}")
     print(f"crossings = {crossings}")
@@ -153,8 +134,7 @@ def cmd_shrink(args):
     drawing = load_drawing(args.file)
 
     def emit(step_drawing):
-        n = step_drawing.n if isinstance(step_drawing, Signature) else len(step_drawing)
-        print(f"n = {n}, crossings = {_count(step_drawing)}", file=sys.stderr)
+        print(f"n = {step_drawing.n}, crossings = {count_drawing(step_drawing)}", file=sys.stderr)
 
     out = shrink(drawing, args.to, tuple_size=args.tuple, emit=emit)
     _dump(out)
@@ -182,7 +162,7 @@ def cmd_optimize(args):
         out = cell_walk(
             drawing, args.vertex, budget, mode=args.mode, progress=progress
         )
-    print(f"final count {_count(out)}", file=sys.stderr)
+    print(f"final count {count_drawing(out)}", file=sys.stderr)
     _dump(out)
     return 0
 
@@ -190,7 +170,8 @@ def cmd_optimize(args):
 def cmd_verify(args):
     try:
         report = verify(args.file, args.kind, brute_limit=args.brute_limit)
-    except (ParseError, OSError):
+    except ParseError:
+        # ParseError subclasses ValueError: keep it a parse error (exit 3)
         raise
     except (DegenerateError, ValueError) as exc:
         # a payload that parses but fails certification is a mismatch

@@ -154,15 +154,6 @@ def random_relocation(S, budget, nbhd=None, progress=None):
     return best
 
 
-def _quad_crossing(sign, a, b, c, d):
-    """Whether the four vertices span a crossing (i.e. lie in convex position)."""
-    return (
-        _pair_crossing(sign, a, b, c, d)
-        or _pair_crossing(sign, a, c, b, d)
-        or _pair_crossing(sign, a, d, b, c)
-    )
-
-
 def _flip_delta(D, a, b, v):
     """Change in crossing count when the orientation of (a, b, v) flips.
 
@@ -175,13 +166,13 @@ def _flip_delta(D, a, b, v):
     for x in range(D.n):
         if x == a or x == b or x == v:
             continue
-        if _quad_crossing(sign, a, b, v, x):
+        if _pair_crossing(sign, a, b, v, x):
             before += 1
     D._flip_inplace(t)
     for x in range(D.n):
         if x == a or x == b or x == v:
             continue
-        if _quad_crossing(sign, a, b, v, x):
+        if _pair_crossing(sign, a, b, v, x):
             after += 1
     D._flip_inplace(t)
     return after - before
@@ -334,7 +325,7 @@ def _involvements(drawing, want_triples):
     inv2 = {}
     inv3 = {}
     for quad in combinations(range(n), 4):
-        if _quad_crossing(sign, *quad):
+        if _pair_crossing(sign, *quad):
             for x in quad:
                 inv[x] += 1
             for pair in combinations(quad, 2):

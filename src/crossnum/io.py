@@ -216,11 +216,16 @@ def load_drawing(path):
         return parse_drawing(fh.read())
 
 
-def save_drawing(drawing, path):
+def format_drawing(drawing):
+    """Text form of a point set or a signature, as parse_drawing reads it back."""
     if isinstance(drawing, Signature):
-        save_signature(drawing, path)
-    else:
-        save_points(drawing, path)
+        return format_signature_text(drawing)
+    return format_points(drawing)
+
+
+def save_drawing(drawing, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(format_drawing(drawing))
 
 
 def format_matching(M):

@@ -4,25 +4,25 @@ One cycle optimizes the records with the best bounds, submits improvements,
 and — when a kind's best bound has not moved for ``stall_window`` seconds —
 doubles the best doubleable drawing, shrinks it back down submitting every
 intermediate cardinality, locally optimizes the doubled set and a sample of
-the subdrawings with small budgets, and starts over.  All worker lanes are
-seeded from the global seed, so a run's submissions are reproducible; all
-durable state lives in the registry, so an interrupted run resumes for free.
+the subdrawings with small budgets, and starts over.  Each record gets
+``worker_count`` lanes per cycle, run one after another and each seeded from
+the global seed, so a run's submissions are reproducible; all durable state
+lives in the registry, so an interrupted run resumes for free.
 """
 
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from hashlib import blake2b
 
 from .doubling import VerificationError, double_points, double_signature
-from .geometry import DegenerateError, PointSet, count_crossings
+from .geometry import DegenerateError, PointSet
 from .halving import halving_matching, halving_matching_sig
 from .heuristics import SearchBudget, cell_walk, random_relocation, shrink, sig_flip_search
 from .io import load_drawing
-from .registry import Registry
-from .signatures import Signature, convex_signature, count_crossings_sig
+from .registry import Registry, count_drawing
+from .signatures import Signature, convex_signature
 
 TRIANGLE = PointSet(((0, 0), (1, 0), (0, 1)))
 
@@ -32,7 +32,11 @@ _DEFAULT_MAX_N = {"rect": 192, "pseudo": 28}
 
 @dataclass
 class PipelineConfig:
-    """Knobs of one orchestrate run; mirrors the JSON config file exactly."""
+    """Knobs of one orchestrate run; mirrors the JSON config file exactly.
+
+    ``worker_count`` is the number of seeded search lanes per record and
+    cycle; the lanes run one after another in the calling thread.
+    """
 
     kinds: tuple = ("rect", "pseudo")
     top_k: int = 3
@@ -89,12 +93,6 @@ def _lane_seed(*parts):
     """A stable 64-bit seed for one (record, cycle, lane, heuristic) slot."""
     digest = blake2b(":".join(map(str, parts)).encode(), digest_size=8)
     return int.from_bytes(digest.digest(), "big")
-
-
-def _count(drawing):
-    if isinstance(drawing, Signature):
-        return count_crossings_sig(drawing)
-    return count_crossings(drawing)
 
 
 class _Run:
@@ -175,15 +173,8 @@ class _Run:
         return results
 
     def optimize_phase(self, cycle):
-        tasks = self._tasks(cycle)
-        if not tasks:
-            return
-        if self.cfg.worker_count == 1:
-            batches = [self._run_task(cycle, *t) for t in tasks]
-        else:
-            with ThreadPoolExecutor(max_workers=self.cfg.worker_count) as pool:
-                batches = list(pool.map(lambda t: self._run_task(cycle, *t), tasks))
-        # submissions happen in task order regardless of worker scheduling
+        # every task searches from the records as they stood at the cycle's start
+        batches = [self._run_task(cycle, *t) for t in self._tasks(cycle)]
         for batch in batches:
             for drawing, provenance in batch:
                 self.submit(drawing, provenance)
@@ -255,7 +246,7 @@ class _Run:
         else:
             out = sig_flip_search(drawing, SearchBudget(max_steps=budgets["flip"], rng_seed=seed))
             prov = f"{chain}->flip(seed={seed})"
-        if _count(out) < _count(drawing):
+        if count_drawing(out) < count_drawing(drawing):
             self.submit(out, prov)
 
     # -- main loop --------------------------------------------------------------

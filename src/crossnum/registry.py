@@ -13,7 +13,6 @@ import os
 import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from fractions import Fraction
 from typing import Optional
 
 from .doubling import (
@@ -24,13 +23,7 @@ from .doubling import (
     rect_bound,
 )
 from .geometry import DegenerateError, count_crossings, count_crossings_brute
-from .io import (
-    ParseError,
-    format_points,
-    format_signature_text,
-    load_drawing,
-    parse_drawing,
-)
+from .io import ParseError, format_drawing, load_drawing, parse_drawing
 from .signatures import Signature, count_crossings_sig, count_crossings_sig_brute, is_realizable
 
 INDEX_NAME = "index.json"
@@ -71,23 +64,37 @@ def bound_for(kind, n, crossings):
     return rect_bound(n, crossings) if kind == "rect" else pseudo_bound(n, crossings)
 
 
+def count_drawing(drawing):
+    """Crossing count of a point set or a signature, by the fast counter of its kind."""
+    if isinstance(drawing, Signature):
+        return count_crossings_sig(drawing)
+    return count_crossings(drawing)
+
+
+def _certify(drawing, kind):
+    """(n, crossings) of a drawing that certifies the kind.
+
+    Raises DegenerateError/ValueError for drawings of the wrong type or that
+    fail general position or realizability.
+    """
+    if kind == "pseudo":
+        if not isinstance(drawing, Signature):
+            raise ValueError("pseudolinear payload does not hold a signature")
+        if not is_realizable(drawing):
+            raise ValueError("signature is not realizable")
+    elif isinstance(drawing, Signature):
+        raise ValueError("rectilinear payload does not hold a point set")
+    return drawing.n, count_drawing(drawing)
+
+
 def verify_payload(path, kind):
     """Parse and fully certify a payload: (drawing, n, crossings).
 
     Raises ParseError for unreadable files and DegenerateError/ValueError for
     drawings that fail general position or realizability.
     """
-    kind = normalize_kind(kind)
     drawing = load_drawing(path)
-    if kind == "pseudo":
-        if not isinstance(drawing, Signature):
-            raise ValueError("pseudolinear payload does not hold a signature")
-        if not is_realizable(drawing):
-            raise ValueError("signature is not realizable")
-        return drawing, drawing.n, count_crossings_sig(drawing)
-    if isinstance(drawing, Signature):
-        raise ValueError("rectilinear payload does not hold a point set")
-    return drawing, drawing.n, count_crossings(drawing)
+    return (drawing, *_certify(drawing, normalize_kind(kind)))
 
 
 def verify(path, kind, brute_limit=12):
@@ -176,61 +183,63 @@ class Registry:
     # -- writes ---------------------------------------------------------------
 
     def submit(self, rec):
-        """Verify a record and store it iff it strictly improves (kind, n)."""
-        kind = normalize_kind(rec.kind)
+        """Verify a record's payload file and store it iff it strictly improves (kind, n).
+
+        The payload must match the record's n and crossings, and its bound
+        when the record carries one.
+        """
         try:
-            drawing, n, crossings = verify_payload(rec.payload_path, kind)
+            drawing = load_drawing(rec.payload_path)
         except (OSError, ParseError) as exc:
             return SubmitResult(False, f"payload unreadable: {exc}")
+        return self._verify_and_store(
+            normalize_kind(rec.kind), format_drawing(drawing).encode(), rec.provenance, rec.created_at, rec
+        )
+
+    def submit_drawing(self, drawing, provenance=""):
+        """Verify an in-memory drawing and store it iff it strictly improves (kind, n)."""
+        kind = "pseudo" if isinstance(drawing, Signature) else "rect"
+        return self._verify_and_store(kind, format_drawing(drawing).encode(), provenance)
+
+    def _verify_and_store(self, kind, payload, provenance, created_at="", claimed=None):
+        """Certify the payload bytes once and store exactly those bytes iff they improve.
+
+        claimed, when given, is a record whose n, crossings and bound (if
+        set) the payload must reproduce.
+        """
+        try:
+            drawing = parse_drawing(payload)
+        except ParseError as exc:
+            return SubmitResult(False, f"payload unreadable: {exc}")
+        try:
+            n, crossings = _certify(drawing, kind)
         except (DegenerateError, ValueError) as exc:
             return SubmitResult(False, str(exc))
-        if n != rec.n:
-            return SubmitResult(False, f"vertex count mismatch: payload has {n}, record says {rec.n}")
-        if crossings != rec.crossings:
-            return SubmitResult(
-                False, f"count mismatch: payload has {crossings}, record says {rec.crossings}"
-            )
+        if claimed is not None:
+            if n != claimed.n:
+                return SubmitResult(False, f"vertex count mismatch: payload has {n}, record says {claimed.n}")
+            if crossings != claimed.crossings:
+                return SubmitResult(
+                    False, f"count mismatch: payload has {crossings}, record says {claimed.crossings}"
+                )
         bound = bound_for(kind, n, crossings)
-        if rec.bound is not None and rec.bound != bound:
+        if claimed is not None and claimed.bound is not None and claimed.bound != bound:
             return SubmitResult(False, f"bound mismatch: recomputed {bound}")
         index = self._load_index()
         stored = index.get(kind, {}).get(str(n))
         if stored is not None and crossings >= int(stored["crossings"]):
             return SubmitResult(False, "not an improvement")
         relpath = os.path.join(kind, f"n{n}{_SUFFIX[kind]}")
-        if isinstance(drawing, Signature):
-            payload = format_signature_text(drawing).encode()
-        else:
-            payload = format_points(drawing).encode()
         _atomic_write(os.path.join(self.path, relpath), payload)
         index.setdefault(kind, {})[str(n)] = {
             "crossings": crossings,
             "bound": str(bound),
             "payload": relpath,
-            "provenance": rec.provenance,
-            "created_at": rec.created_at or _now(),
+            "provenance": provenance,
+            "created_at": created_at or _now(),
         }
         self._store_index(index)
         return SubmitResult(True)
-
-    def submit_drawing(self, drawing, provenance=""):
-        """Submit an in-memory drawing, staging it to a temp payload first."""
-        if isinstance(drawing, Signature):
-            kind, n, crossings = "pseudo", drawing.n, count_crossings_sig(drawing)
-            payload = format_signature_text(drawing).encode()
-        else:
-            kind, n, crossings = "rect", drawing.n, count_crossings(drawing)
-            payload = format_points(drawing).encode()
-        fd, tmp = tempfile.mkstemp(suffix=_SUFFIX[kind], dir=self.path)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-            rec = DrawingRecord(
-                kind, n, crossings, bound_for(kind, n, crossings), tmp, provenance
-            )
-            return self.submit(rec)
-        finally:
-            os.unlink(tmp)
 
     # -- queries ----------------------------------------------------------------
 
@@ -310,12 +319,3 @@ def _atomic_write(path, blob):
             os.unlink(tmp)
         raise
 
-
-def registry_submit(registry, rec):
-    """Submit a record to a registry (see Registry.submit)."""
-    return registry.submit(rec)
-
-
-def best_bound(registry, kind):
-    """Best (n, bound) of a kind in a registry (see Registry.best_bound)."""
-    return registry.best_bound(kind)

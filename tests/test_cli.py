@@ -151,6 +151,9 @@ def test_verify(work):
     assert "brute_crossings: 15" in r.stdout
     r = run("verify", str(work / "conv6.sig"), "--kind", "rect")
     assert r.returncode == 2 and "verification mismatch" in r.stderr
+    # a malformed payload is a parse error (3), not a verification mismatch (2)
+    r = run("verify", str(work / "garbage.txt"), "--kind", "rect")
+    assert r.returncode == 3 and "verification mismatch" not in r.stderr
 
     bad = None
     D5 = convex_signature(5)

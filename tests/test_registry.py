@@ -6,15 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from crossnum import registry
 from crossnum.geometry import PointSet, count_crossings
-from crossnum.io import save_points, save_signature
-from crossnum.registry import (
-    DrawingRecord,
-    Registry,
-    best_bound,
-    bound_for,
-    verify,
-)
+from crossnum.io import format_points, format_signature_text, save_points, save_signature
+from crossnum.registry import DrawingRecord, Registry, bound_for, verify
 from crossnum.signatures import convex_signature, count_crossings_sig, is_realizable
 
 TRI = PointSet(((0, 0), (4, 1), (2, 5)))
@@ -49,7 +44,7 @@ def test_empty_registry(reg):
 
 def test_submit_and_best_bound(reg):
     assert reg.submit_drawing(TRI, "seed")
-    n, b = best_bound(reg, "rect")
+    n, b = reg.best_bound("rect")
     assert (n, b.value) == (3, Fraction(8, 21))
 
     res = reg.submit_drawing(TRI, "again")
@@ -67,6 +62,46 @@ def test_submit_and_best_bound(reg):
     n, b = reg.best_bound("rect")
     assert n == 3 and b.value == Fraction(8, 21)
     assert bound_for("rect", 5, 1).value > Fraction(8, 21)
+
+
+def _counting(monkeypatch, name):
+    """Wrap the registry module's name so that its calls are counted."""
+    calls = []
+    real = getattr(registry, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(registry, name, wrapper)
+    return calls
+
+
+def test_submit_drawing_verifies_once(reg, monkeypatch):
+    rect_counts = _counting(monkeypatch, "count_crossings")
+    assert reg.submit_drawing(K5_ONE, "rect")
+    assert len(rect_counts) == 1
+    with open(reg.get("rect", 5).payload_path, "rb") as fh:
+        assert fh.read() == format_points(K5_ONE).encode()
+
+    D6 = convex_signature(6)
+    sig_counts = _counting(monkeypatch, "count_crossings_sig")
+    realizable_calls = _counting(monkeypatch, "is_realizable")
+    assert reg.submit_drawing(D6, "pseudo")
+    assert (len(sig_counts), len(realizable_calls)) == (1, 1)
+    with open(reg.get("pseudo", 6).payload_path, "rb") as fh:
+        assert fh.read() == format_signature_text(D6).encode()
+
+
+def test_submit_drawing_rejects_uncertifiable(reg, tmp_path):
+    collinear = PointSet(((0, 0), (1, 1), (2, 2), (5, 0), (0, 7)))
+    res = reg.submit_drawing(collinear, "collinear")
+    assert not res and "collinear" in res.reason
+    res = reg.submit_drawing(_nonrealizable5(), "bad")
+    assert not res and "realizable" in res.reason
+    assert reg.records() == [] and reg.fsck() == []
+    assert sorted(os.listdir(tmp_path / "reg")) == ["pseudo", "rect"]
+    assert os.listdir(tmp_path / "reg" / "rect") == os.listdir(tmp_path / "reg" / "pseudo") == []
 
 
 def test_tampered_records_rejected(reg, tmp_path):
