@@ -7,6 +7,10 @@ of a small integer grid, closing under relabeling and mirror reflection, and
 cross-checked against an independent axiomatic enumeration (three-term sign
 exchange plus acyclicity over all 4-subsets); the test suite re-derives it by
 both routes.
+
+The full check ``signatures.is_realizable`` does not use the table; it
+serves ``signatures.realizable_after_flip``, which re-checks only the
+5-subsets around one flipped triple, and the tests' 5-subset oracle.
 """
 
 REALIZABLE5 = frozenset((

@@ -189,18 +189,18 @@ class _Run:
                 self.log(f"{kind}: n={rec.n} skipped (doubling exceeds max_n)")
                 continue
             drawing = load_drawing(rec.payload_path)
-            matching = halving_matching(drawing) if kind == "rect" else halving_matching_sig(drawing)
-            if not matching:
-                self.report["no_matching"].append({"kind": kind, "n": rec.n})
-                self.log(f"{kind}: n={rec.n} has no halving matching, trying next-best")
-                continue
             try:
+                matching = halving_matching(drawing) if kind == "rect" else halving_matching_sig(drawing)
+                if not matching:
+                    self.report["no_matching"].append({"kind": kind, "n": rec.n})
+                    self.log(f"{kind}: n={rec.n} has no halving matching, trying next-best")
+                    continue
                 if kind == "rect":
                     doubled, dreport = double_points(drawing, matching)
                 else:
                     doubled, dreport = double_signature(drawing, matching)
             except (DegenerateError, VerificationError) as exc:
-                self.log(f"{kind}: doubling n={rec.n} failed verification: {exc}")
+                self.log(f"{kind}: doubling n={rec.n} failed: {exc}")
                 continue
             self.report["doublings"].append(
                 {

@@ -10,6 +10,11 @@ cheap to copy and mutate.
 
 Signs are stored one bit per lexicographically ranked triple (1 means +),
 LSB first inside each byte.
+
+Realizability is decided by a hull vertex plus the signotope axiom on
+4-subsets (``is_realizable``).  The 5-vertex catalog in ``_catalog5`` serves
+only ``realizable_after_flip``, which re-checks the 5-subsets around one
+flipped triple, and the test suite's slow oracle.
 """
 
 from dataclasses import dataclass
@@ -284,20 +289,111 @@ def _mask5(D, sub):
     return m
 
 
-def is_realizable(D):
-    """Whether every 5-subset's sign pattern occurs in some point set.
+def _hull_vertex(D):
+    """A vertex that lies on the convex hull whenever D is realizable.
 
-    Five-vertex consistency characterizes the signatures of pseudolinear
-    drawings, so this is a full realizability check.  Signatures on fewer
-    than 5 vertices pass vacuously.
+    Keeps an edge (a, b) with vertices 0..w-1 all to its left.  A vertex w to
+    its right lies outside their hull, so the edge is rebuilt from w to its
+    clockwise-most neighbour.  O(n) sign queries per rebuild, O(n^2) at most.
+    """
+    sign = D.sign
+    a, b = 0, 1
+    for w in range(2, D.n):
+        if sign(a, b, w) < 0:
+            a, b = w, 0
+            for x in range(1, w):
+                if sign(a, b, x) < 0:
+                    b = x
+    return a
+
+
+def _relabel(D, order):
+    """The signature on len(order) vertices whose triple (i, j, k) carries
+    D.sign(order[i], order[j], order[k])."""
+    m = len(order)
+    out = Signature(m)
+    bits = out._bits
+    get = D._get
+    rank = D.rank
+    r = 0
+    for i in range(m):
+        a = order[i]
+        for j in range(i + 1, m):
+            b = order[j]
+            lo, hi, odd = (a, b, 0) if a < b else (b, a, 1)
+            for k in range(j + 1, m):
+                c = order[k]
+                if c > hi:
+                    bit = get(rank(lo, hi, c)) ^ odd
+                elif c > lo:
+                    bit = get(rank(lo, c, hi)) ^ odd ^ 1
+                else:
+                    bit = get(rank(c, lo, hi)) ^ odd
+                if bit:
+                    bits[r >> 3] |= 1 << (r & 7)
+                r += 1
+    return out
+
+
+def _is_signotope(E):
+    """Whether every 4-subset a < b < c < d of E changes sign at most once
+    along abc, abd, acd, bcd.
+
+    Works on rows of the packed bits: row[i][j] holds sign(i, j, k) for all
+    k > j, bit k - j - 1, so one (a, b, c) tests every d > c at once.
+    """
+    m = E.n
+    bits = E._bits
+    row = [[0] * m for _ in range(m)]
+    r = 0
+    for i in range(m):
+        for j in range(i + 1, m):
+            width = m - 1 - j
+            chunk = int.from_bytes(bits[r >> 3 : (r + width + 7) >> 3], "little")
+            row[i][j] = (chunk >> (r & 7)) & ((1 << width) - 1)
+            r += width
+    for a in range(m - 3):
+        ra = row[a]
+        for b in range(a + 1, m - 2):
+            rab = ra[b]
+            rb = row[b]
+            for c in range(b + 1, m - 1):
+                x = rab >> (c - b - 1)  # bit 0: abc, bit d - c: abd
+                abd = x >> 1
+                change1 = abd ^ ((1 << (m - 1 - c)) - 1) if x & 1 else abd
+                change2 = abd ^ ra[c]
+                change3 = ra[c] ^ rb[c]
+                if change1 & change2 | change3 & (change1 | change2):
+                    return False
+    return True
+
+
+def is_realizable(D):
+    """Whether D is the signature of an arrangement of pseudolines, in O(n^4).
+
+    In a realizable signature the rotation around a hull vertex h is a
+    transitive tournament (a beats b when sign(h, a, b) > 0): its
+    out-degrees are exactly 0..n-2.  _hull_vertex finds such an h whenever D
+    is realizable, so D is not realizable if that h fails the test.
+    Ordering the other vertices by falling out-degree makes every
+    sign(h, p_i, p_j), i < j, positive, and D is then realizable exactly
+    when the relabelled signs of p_0..p_{n-2} form a signotope: along abc,
+    abd, acd, bcd every 4-subset changes sign at most once (Knuth, Axioms
+    and Hulls, LNCS 606, 1992; Felsner & Weil, Sweeps, arrangements and
+    signotopes, Discrete Appl. Math. 109, 2001).  The hull vertex costs
+    O(n^2) sign queries, the relabelling O(n^3), and the scan C(n-1, 3)
+    steps over (n-1)-bit rows.  Every signature on 3 vertices is realizable.
     """
     n = D.n
-    if n < 5:
+    if n < 4:
         return True
-    for sub in combinations(range(n), 5):
-        if _mask5(D, sub) not in REALIZABLE5:
-            return False
-    return True
+    h = _hull_vertex(D)
+    sign = D.sign
+    rest = [v for v in range(n) if v != h]
+    wins = {a: sum(1 for b in rest if b != a and sign(h, a, b) > 0) for a in rest}
+    if sorted(wins.values()) != list(range(n - 1)):
+        return False
+    return _is_signotope(_relabel(D, sorted(rest, key=wins.__getitem__, reverse=True)))
 
 
 def flip(D, t):
@@ -311,8 +407,11 @@ def realizable_after_flip(D, t):
     Only the sign of t changes, so only the C(n-3, 2) 5-subsets containing
     all of t can turn bad; every other subset keeps its mask.  Assumes D is
     realizable (the invariant maintained by flip search); then the result
-    equals is_realizable(flip(D, t)) at a fraction of the cost.
+    equals is_realizable(flip(D, t)) at a fraction of the cost.  Below 5
+    vertices there are no such subsets, and the full check decides.
     """
+    if D.n < 5:
+        return is_realizable(D.flip(t))
     i, j, k = sorted(t)
     D._flip_inplace((i, j, k))
     try:
@@ -333,19 +432,4 @@ def delete_vertex(D, v):
         raise ValueError(f"vertex {v} out of range")
     if n - 1 < 3:
         raise ValueError("deletion would leave fewer than 3 vertices")
-    out = Signature(n - 1)
-    keep = [x for x in range(n) if x != v]
-    r = 0
-    get = D._get
-    rank = D.rank
-    bits = out._bits
-    m = n - 1
-    for i in range(m):
-        ki = keep[i]
-        for j in range(i + 1, m):
-            kj = keep[j]
-            for k in range(j + 1, m):
-                if get(rank(ki, kj, keep[k])):
-                    bits[r >> 3] |= 1 << (r & 7)
-                r += 1
-    return out
+    return _relabel(D, [x for x in range(n) if x != v])

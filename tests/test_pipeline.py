@@ -6,10 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from crossnum import pipeline
 from crossnum.doubling import double_points
+from crossnum.geometry import DegenerateError, PointSet
 from crossnum.halving import halving_matching
-from crossnum.pipeline import TRIANGLE, PipelineConfig, orchestrate, _lane_seed
+from crossnum.pipeline import TRIANGLE, PipelineConfig, orchestrate, _lane_seed, _Run
 from crossnum.registry import Registry
+
+K4_INNER = PointSet(((0, 0), (7, 1), (3, 8), (2, 3)))  # 0 crossings, best rect bound
 
 
 def _fast_cfg(path, seed=0, workers=1, run_time=12.0):
@@ -42,6 +46,23 @@ def test_triangle_doubles_standalone():
     assert M
     S2, rep = double_points(TRIANGLE, M)
     assert (S2.n, rep.output_crossings) == (6, 3)
+
+
+def test_failing_halving_match_tries_next_record(tmp_path, monkeypatch):
+    cfg = _fast_cfg(tmp_path / "reg")
+    run = _Run(cfg)
+    assert run.submit(K4_INNER, "k4") and run.submit(TRIANGLE, "seed")
+    real = pipeline.halving_matching
+
+    def matcher(S):
+        if S.n == 4:
+            raise DegenerateError("no balancing gap")
+        return real(S)
+
+    monkeypatch.setattr(pipeline, "halving_matching", matcher)
+    assert run.double_phase("rect")
+    assert [d["input_n"] for d in run.report["doublings"]] == [3]
+    assert any("n=4 failed: no balancing gap" in line for line in run.report["log"])
 
 
 def test_config_round_trip_and_validation(tmp_path):

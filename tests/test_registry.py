@@ -10,7 +10,7 @@ from crossnum import registry
 from crossnum.geometry import PointSet, count_crossings
 from crossnum.io import format_points, format_signature_text, save_points, save_signature
 from crossnum.registry import DrawingRecord, Registry, bound_for, verify
-from crossnum.signatures import convex_signature, count_crossings_sig, is_realizable
+from crossnum.signatures import Signature, convex_signature, count_crossings_sig, is_realizable
 
 TRI = PointSet(((0, 0), (4, 1), (2, 5)))
 K5_CONVEX = PointSet(((0, 0), (10, 1), (13, 9), (5, 14), (-3, 8)))
@@ -97,9 +97,13 @@ def test_submit_drawing_rejects_uncertifiable(reg, tmp_path):
     collinear = PointSet(((0, 0), (1, 1), (2, 2), (5, 0), (0, 7)))
     res = reg.submit_drawing(collinear, "collinear")
     assert not res and "collinear" in res.reason
-    res = reg.submit_drawing(_nonrealizable5(), "bad")
-    assert not res and "realizable" in res.reason
+    # the two cyclic 4-vertex patterns have no hull vertex
+    for bad in (_nonrealizable5(), Signature(4, b"\x05"), Signature(4, b"\x0a")):
+        res = reg.submit_drawing(bad, "bad")
+        assert not res and "realizable" in res.reason
     assert reg.records() == [] and reg.fsck() == []
+    with pytest.raises(LookupError):
+        reg.best_bound("pseudo")
     assert sorted(os.listdir(tmp_path / "reg")) == ["pseudo", "rect"]
     assert os.listdir(tmp_path / "reg" / "rect") == os.listdir(tmp_path / "reg" / "pseudo") == []
 

@@ -1,4 +1,5 @@
-"""Signature container, counting, realizability, and the 5-vertex catalog."""
+"""Signature container, counting, realizability against the 5-vertex catalog
+oracle, and the catalog itself."""
 
 import random
 from itertools import combinations, permutations
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossnum._catalog5 import REALIZABLE5
-from crossnum.geometry import count_crossings, orient, removal_values, sweep_around
+from crossnum.geometry import DegenerateError, count_crossings, orient, removal_values, sweep_around
 from crossnum.signatures import (
     Signature,
+    _mask5,
     TripleId,
     convex_signature,
     count_crossings_sig,
@@ -74,10 +76,17 @@ def test_removal_values_match_geometry():
 
 
 def test_realizable_after_flip_matches_full_check():
+    # every realizable 4-vertex pattern, including flips into the cyclic ones
+    for mask in range(16):
+        D = Signature(4, bytes([mask]))
+        if is_realizable(D):
+            for t in combinations(range(4), 3):
+                assert realizable_after_flip(D, t) == is_realizable(D.flip(t)), (mask, t)
+    assert not realizable_after_flip(Signature(4, b"\x04"), (0, 1, 2))
     # precondition: D realizable; generator walks through full-checked flips
     rng = random.Random(47)
     for _ in range(80):
-        n = rng.randint(5, 8)
+        n = rng.randint(4, 14)
         D = signature_of(rand_general(rng, n))
         for _ in range(rng.randint(0, 6)):
             t = tuple(sorted(rng.sample(range(n), 3)))
@@ -147,6 +156,77 @@ def test_rotation_matches_geometric_sweep():
         m = len(rot)
         i0 = order.index(rot[0])
         assert [order[(i0 + d) % m] for d in range(m)] == rot
+
+
+# ---------------------------------------------------------------------------
+# the O(n^4) realizability check against the 5-subset catalog oracle
+# ---------------------------------------------------------------------------
+
+
+def realizable_by_catalog(D):
+    """Slow oracle: every 5-subset's sign pattern occurs in some point set.
+
+    Five-vertex consistency characterizes the signatures of pseudolinear
+    drawings on at least 5 vertices.
+    """
+    return all(_mask5(D, sub) in REALIZABLE5 for sub in combinations(range(D.n), 5))
+
+
+def _flipped_point_signature(data, n):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    D = signature_of(rand_general(rng, n))
+    for _ in range(data.draw(st.integers(0, 3))):
+        D = D.flip(tuple(sorted(rng.sample(range(n), 3))))
+    return D
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_realizable_matches_catalog_on_point_signatures(data):
+    D = _flipped_point_signature(data, data.draw(st.integers(5, 9)))
+    assert is_realizable(D) == realizable_by_catalog(D)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_realizable_matches_catalog_on_arbitrary_signs(data):
+    n = data.draw(st.integers(5, 9))
+    nbytes = (comb(n, 3) + 7) // 8
+    D = Signature(n, data.draw(st.binary(min_size=nbytes, max_size=nbytes)))
+    assert is_realizable(D) == realizable_by_catalog(D)
+
+
+def test_realizable_matches_catalog_on_every_5_vertex_mask():
+    for mask in range(1024):
+        D = Signature(5, mask.to_bytes(2, "little"))
+        assert is_realizable(D) == (mask in REALIZABLE5), mask
+
+
+def test_realizable_4_vertex_patterns_are_the_point_patterns():
+    grid = [(x, y) for x in range(4) for y in range(4)]
+    from_points = set()
+    for sub in combinations(grid, 4):
+        for pts in permutations(sub):
+            try:
+                from_points.add(signature_of(pts).to_bytes())
+            except DegenerateError:
+                break
+    passing = {bytes([m]) for m in range(16) if is_realizable(Signature(4, bytes([m])))}
+    assert passing == from_points and len(passing) == 14
+    assert b"\x05" not in passing and b"\x0a" not in passing
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_realizable_invariant_under_relabel_and_mirror(data):
+    n = data.draw(st.integers(4, 10))
+    D = _flipped_point_signature(data, n)
+    perm = data.draw(st.permutations(range(n)))
+    mirror = data.draw(st.sampled_from((1, -1)))
+    E = Signature(n)
+    for a, b, c in combinations(range(n), 3):
+        E.set_sign(perm[a], perm[b], perm[c], mirror * D.sign(a, b, c))
+    assert is_realizable(E) == is_realizable(D)
 
 
 # ---------------------------------------------------------------------------
