@@ -92,7 +92,12 @@ def predicted_double(kind, n, cr):
 
 @dataclass(frozen=True)
 class DoublingReport:
-    """Receipt of a verified doubling step."""
+    """Receipt of a verified doubling step.
+
+    scale_used is the magnification lam of the returned point set (0 for
+    signatures, which have no coordinates); retries is the number of scales
+    tried whose count missed the prediction or was degenerate.
+    """
 
     input_n: int
     input_crossings: int
@@ -112,9 +117,28 @@ def double_points(S, M):
 
     Each p_i becomes lam*p_i + v_i and lam*p_i - v_i, where v_i is the
     integer direction of i's matched line and lam a magnification standing
-    in for 1/epsilon.  lam starts at 4*n*max|v|_inf and doubles until the
-    result is in general position and its crossing count equals the
-    rectilinear recurrence value exactly.
+    in for 1/epsilon.  The scales tried are lam0 * 2**k with
+    lam0 = 4*n*max|v|_inf, and the result is the first scale found whose
+    set is in general position with the rectilinear recurrence count,
+    checked by one exact count.
+
+    A large enough scale is certified.  With P = max|p|_inf and
+    V = max|v|_inf, three doubled points from distinct originals a, b, c
+    have orientation lam^2*A + lam*B + C, where A = orient(p_a, p_b, p_c) is
+    a nonzero integer (S is in general position), |B| <= 16PV and
+    |C| <= 8V^2.  Both copies of a with a copy of x have orientation
+    -2*(lam*A' + C'), where A' = orient(p_a, p_a + v_a, p_x) and
+    |C'| <= 2V^2; A' is a nonzero integer unless p_x lies on a's line, and
+    then the sign does not depend on lam at all.  Copies of distinct
+    originals coincide only if lam*|p_a - p_b| <= 2V.  So from
+    L = 16PV + 8V^2 + 1 on, every orientation sign, and with them the
+    crossing count and general position, equals its limit as lam grows.
+
+    The search gallops over k = 0, 1, 3, 7, 15, ..., clamped to the first k
+    with lam0 * 2**k >= L.  If that stable scale fails, every larger one
+    fails the same way and VerificationError is raised at once.  Otherwise
+    it bisects between the last failing and the first passing k, returning
+    the smallest passing k whenever passing is monotone in k between them.
     """
     pts = _points(S)
     n = len(pts)
@@ -127,22 +151,50 @@ def double_points(S, M):
         dx, dy = M.assignments[v].direction
         dirs.append((int(dx), int(dy)))
     vmax = max(max(abs(dx), abs(dy)) for dx, dy in dirs)
-    lam = 4 * n * vmax
-    for attempt in range(65):
+    if vmax == 0:
+        raise VerificationError("doubled set is degenerate at every scale")
+    pmax = max(max(abs(px), abs(py)) for px, py in pts)
+    lam0 = 4 * n * vmax
+    stable = 16 * pmax * vmax + 8 * vmax * vmax + 1
+    k_stable = (-(-stable // lam0) - 1).bit_length()
+
+    def probe(k):
+        lam = lam0 << k
         new_pts = []
         for (px, py), (dx, dy) in zip(pts, dirs):
             new_pts.append((lam * px + dx, lam * py + dy))
             new_pts.append((lam * px - dx, lam * py - dy))
         S2 = PointSet(new_pts)
         try:
-            c2 = count_crossings(S2)
+            return S2, count_crossings(S2)
         except DegenerateError:
-            lam *= 2
-            continue
+            return S2, None
+
+    retries = 0
+    failed, k = -1, 0
+    while True:
+        k = min(k, k_stable)
+        found, c2 = probe(k)
         if c2 == predicted:
-            return S2, DoublingReport(n, base, 2 * n, c2, predicted, lam, attempt)
-        lam *= 2
-    raise VerificationError("doubled set failed verification at every scale")
+            break
+        retries += 1
+        if k == k_stable:
+            if c2 is None:
+                raise VerificationError("doubled set is degenerate at every scale")
+            raise VerificationError(
+                f"doubled set has {c2} crossings at every scale from "
+                f"lam = {lam0 << k}, predicted {predicted} (excess {c2 - predicted})"
+            )
+        failed, k = k, 2 * k + 1
+    while k - failed > 1:
+        mid = (failed + k) // 2
+        S2, c2 = probe(mid)
+        if c2 == predicted:
+            found, k = S2, mid
+        else:
+            failed = mid
+            retries += 1
+    return found, DoublingReport(n, base, 2 * n, predicted, predicted, lam0 << k, retries)
 
 
 def double_signature(D, M):

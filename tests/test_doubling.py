@@ -1,5 +1,6 @@
 """Doubling constructions, predicted growth, and exact bounds."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crossnum.doubling
 from crossnum.doubling import (
     BoundValue,
+    VerificationError,
     double_points,
     double_signature,
     harary_hill,
@@ -16,8 +19,14 @@ from crossnum.doubling import (
     pseudo_bound,
     rect_bound,
 )
-from crossnum.geometry import count_crossings, count_crossings_brute
-from crossnum.halving import HalvingMatching, NoMatching, halving_matching, halving_matching_sig
+from crossnum.geometry import DegenerateError, PointSet, count_crossings, count_crossings_brute
+from crossnum.halving import (
+    HalvingLine,
+    HalvingMatching,
+    NoMatching,
+    halving_matching,
+    halving_matching_sig,
+)
 from crossnum.signatures import (
     convex_signature,
     count_crossings_sig_brute,
@@ -26,6 +35,47 @@ from crossnum.signatures import (
 )
 
 from conftest import convex_points, rand_general
+
+TRIANGLE = PointSet(((0, 0), (1, 0), (0, 1)))
+
+
+def double_points_linear(S, M):
+    """Oracle for double_points: the first of 65 scales lam0 * 2**k, one bit
+    apart, whose doubled set has the predicted count; (set, lam)."""
+    pts = list(S)
+    n = len(pts)
+    predicted = predicted_double("rect", n, count_crossings(S))
+    dirs = [tuple(M.assignments[v].direction) for v in range(n)]
+    lam = 4 * n * max(max(abs(dx), abs(dy)) for dx, dy in dirs)
+    for _ in range(65):
+        new_pts = []
+        for (px, py), (dx, dy) in zip(pts, dirs):
+            new_pts.append((lam * px + dx, lam * py + dy))
+            new_pts.append((lam * px - dx, lam * py - dy))
+        S2 = PointSet(new_pts)
+        try:
+            if count_crossings(S2) == predicted:
+                return S2, lam
+        except DegenerateError:
+            pass
+        lam *= 2
+    raise VerificationError("doubled set failed verification at every scale")
+
+
+def random_doubling_inputs():
+    """The seeded random point sets the doubling-chain tests start from."""
+    rng = random.Random(23)
+    return [rand_general(rng, rng.choice([3, 5, 7, 9])) for _ in range(15)]
+
+
+@pytest.fixture(scope="module")
+def triangle_chain():
+    """The doubling chain 3 -> 96 from the triangle: {n: (set, report)}."""
+    S, chain = TRIANGLE, {3: (TRIANGLE, None)}
+    while S.n < 96:
+        S, rep = double_points(S, halving_matching(S))
+        chain[S.n] = (S, rep)
+    return chain
 
 
 def test_predicted_double_values():
@@ -56,10 +106,8 @@ def test_convex5_double():
 
 
 def test_random_point_doubling_chains():
-    rng = random.Random(23)
-    for _ in range(15):
-        n = rng.choice([3, 5, 7, 9])
-        S = rand_general(rng, n)
+    for S in random_doubling_inputs():
+        n = S.n
         S2, rep = double_points(S, halving_matching(S))
         cr = count_crossings(S)
         assert rep.output_crossings == count_crossings(S2)
@@ -71,6 +119,91 @@ def test_random_point_doubling_chains():
             assert rep4.output_crossings == predicted_double(
                 "rect", 2 * n, rep.output_crossings
             )
+
+
+def _assert_matches_oracle(S):
+    M = halving_matching(S)
+    S2, rep = double_points(S, M)
+    assert (S2, rep.scale_used) == double_points_linear(S, M)
+    return S2
+
+
+def test_double_points_matches_linear_oracle(triangle_chain):
+    for n in (3, 6, 12, 24, 48):
+        S, _ = triangle_chain[n]
+        assert _assert_matches_oracle(S) == triangle_chain[2 * n][0]
+    for S in random_doubling_inputs():
+        S2 = _assert_matches_oracle(S)
+        if S.n <= 5:
+            _assert_matches_oracle(S2)
+
+
+def test_double_96_to_192(triangle_chain):
+    S, _ = triangle_chain[96]
+    cr = count_crossings(S)
+    M = halving_matching(S)
+    S2, rep = double_points(S, M)
+    assert S2.n == 192
+    # past the 65 scales lam0 * 2**k, k < 65, that double_points_linear tries
+    lam0 = 4 * 96 * max(max(map(abs, line.direction)) for line in M.assignments.values())
+    assert rep.scale_used == lam0 << 68
+    cr2 = count_crossings(S2)
+    assert cr2 == rep.output_crossings == predicted_double("rect", 96, cr)
+    assert rect_bound(192, cr2) == rect_bound(96, cr)
+
+
+def _stable_exponent(S, M):
+    """Smallest k with lam0 * 2**k >= 16PV + 8V^2 + 1, computed directly."""
+    P = max(max(abs(x), abs(y)) for x, y in S)
+    V = max(max(abs(c) for c in line.direction) for line in M.assignments.values())
+    lam, k = 4 * S.n * V, 0
+    while lam < 16 * P * V + 8 * V * V + 1:
+        lam, k = 2 * lam, k + 1
+    return k
+
+
+def _count_calls(monkeypatch):
+    calls = []
+    real = crossnum.doubling.count_crossings
+
+    def counted(S):
+        calls.append(S.n)
+        return real(S)
+
+    monkeypatch.setattr(crossnum.doubling, "count_crossings", counted)
+    return calls
+
+
+def test_double_points_fails_fast(monkeypatch):
+    # horizontal lines through a scaled convex pentagon are not halving lines
+    S = PointSet([(1000 * x, 1000 * y) for x, y in convex_points(5)])
+    M = HalvingMatching({v: HalvingLine(v, None, (1, 0)) for v in range(5)})
+    k = _stable_exponent(S, M)
+    assert k >= 8
+    calls = _count_calls(monkeypatch)
+    with pytest.raises(VerificationError, match=r"170 crossings at every scale .*excess 40"):
+        double_points(S, M)
+    # one count of the input, then the probes of the doubled sets
+    assert calls[0] == 5 and len(calls) - 1 <= 2 + math.ceil(math.log2(k))
+
+
+def test_double_points_degenerate_at_every_scale(monkeypatch):
+    # partners 0 and 1 both point along the line through them: their four
+    # copies are collinear at every scale
+    S = convex_points(6)
+    (x0, y0), (x1, y1) = S[0], S[1]
+    v = (x1 - x0, y1 - y0)
+    lines = [(1, v), (0, v), (3, (1, 0)), (2, (1, 0)), (5, (0, 1)), (4, (0, 1))]
+    M = HalvingMatching({a: HalvingLine(a, b, d) for a, (b, d) in enumerate(lines)})
+    k = _stable_exponent(S, M)
+    assert k >= 1
+    calls = _count_calls(monkeypatch)
+    with pytest.raises(VerificationError, match="degenerate at every scale"):
+        double_points(S, M)
+    assert len(calls) - 1 <= 2 + math.ceil(math.log2(k))
+    zero = HalvingMatching({a: HalvingLine(a, b, (0, 0)) for a, (b, _) in enumerate(lines)})
+    with pytest.raises(VerificationError, match="degenerate at every scale"):
+        double_points(S, zero)
 
 
 def test_signature_doubling_chain():
