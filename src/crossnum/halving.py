@@ -21,7 +21,7 @@ from functools import cmp_to_key
 from typing import Optional
 
 from .geometry import DegenerateError, _points, orient, sweep_around
-from .signatures import _rotation_windows
+from .signatures import _rotation_windows, rotation
 
 
 @dataclass(frozen=True)
@@ -190,13 +190,19 @@ def halving_direction(S, v):
     return gaps[0][0]
 
 
-def _max_line_matching(n, adj, nlines):
-    """Maximum bipartite matching vertices -> lines, BFS augmenting paths.
+def _max_line_matching(n, pairs):
+    """Perfect matching of the n vertices to halving lines, by BFS
+    augmenting paths.
 
-    Deterministic for fixed adjacency order.  Returns (owner, match_v) with
-    owner[line] = vertex and match_v[vertex] = line, or None where unmatched.
+    pairs lists the two vertices of each line, sorted; every vertex tries its
+    lines in that order, so the result is deterministic.  Returns each
+    vertex's partner on its line, or None when no perfect matching exists.
     """
-    owner = [None] * nlines
+    adj = [[] for _ in range(n)]
+    for li, (a, b) in enumerate(pairs):
+        adj[a].append(li)
+        adj[b].append(li)
+    owner = [None] * len(pairs)
     match_v = [None] * n
     for root in range(n):
         via = {}
@@ -213,12 +219,12 @@ def _max_line_matching(n, adj, nlines):
                     break
                 q.append(owner[li])
         if free is None:
-            continue
+            return None  # a vertex without augmenting path stays unmatched
         li = free
         while li is not None:
             u = via[li]
             owner[li], match_v[u], li = u, li, match_v[u]
-    return owner, match_v
+    return [sum(pairs[li]) - v for v, li in enumerate(match_v)]
 
 
 def halving_matching(S):
@@ -236,22 +242,14 @@ def halving_matching(S):
         return HalvingMatching(
             {v: HalvingLine(v, None, halving_direction(S, v)) for v in range(n)}
         )
-    lines = halving_lines(S)
-    pairs = [(hl.anchor, hl.partner) for hl in lines]
-    adj = [[] for _ in range(n)]
-    for li, (a, b) in enumerate(pairs):
-        adj[a].append(li)
-        adj[b].append(li)
-    _owner, match_v = _max_line_matching(n, adj, len(pairs))
-    if any(li is None for li in match_v):
+    pairs = [(hl.anchor, hl.partner) for hl in halving_lines(S)]
+    partner = _max_line_matching(n, pairs)
+    if partner is None:
         return NO_MATCHING
-    assignments = {}
-    for v, li in enumerate(match_v):
-        a, b = pairs[li]
-        other = b if v == a else a
-        d = (pts[other][0] - pts[v][0], pts[other][1] - pts[v][1])
-        assignments[v] = HalvingLine(v, other, d)
-    return HalvingMatching(assignments)
+    return HalvingMatching({
+        v: HalvingLine(v, w, (pts[w][0] - pts[v][0], pts[w][1] - pts[v][1]))
+        for v, w in enumerate(partner)
+    })
 
 
 def _acyclic_partners(rots, cands):
@@ -332,32 +330,22 @@ def halving_matching_sig(D):
             )
         return HalvingMatching(assignments)
     want = (n - 2) // 2
-    rots = {}
-    pos_of = {}
+    rots = []
     pairs = set()
     for v in range(n):
         rot, av = _rotation_windows(D, v)
-        rots[v] = rot
-        pos_of[v] = {w: p for p, w in enumerate(rot)}
+        rots.append(rot)
         for p in range(m):
             if av[p] == want:
                 pairs.add((min(v, rot[p]), max(v, rot[p])))
-    lines = sorted(pairs)
-    adj = [[] for _ in range(n)]
-    for li, (a, b) in enumerate(lines):
-        adj[a].append(li)
-        adj[b].append(li)
-    _owner, match_v = _max_line_matching(n, adj, len(lines))
-    if any(li is None for li in match_v):
+    partner = _max_line_matching(n, sorted(pairs))
+    if partner is None:
         return NO_MATCHING
     assignments = {}
-    for v, li in enumerate(match_v):
-        a, b = lines[li]
-        other = b if v == a else a
-        pos = pos_of[v][other]
-        g = (pos + 1) % m
+    for v, w in enumerate(partner):
+        g = (rots[v].index(w) + 1) % m
         assignments[v] = HalvingLine(
-            v, other, (RotationSlot(v, g), RotationSlot(v, (g + want) % m))
+            v, w, (RotationSlot(v, g), RotationSlot(v, (g + want) % m))
         )
     return HalvingMatching(assignments)
 
@@ -370,8 +358,6 @@ def slot_partner(D, line):
     """
     if line.partner is not None:
         return line.partner
-    from .signatures import rotation
-
     s1 = line.direction[0]
     rot = rotation(D, s1.vertex)
     return rot[(s1.gap_position - 1) % len(rot)]

@@ -18,7 +18,6 @@ from .geometry import (
     PointSet,
     count_crossings,
     evaluate_candidates,
-    orient,
     removal_values,
 )
 from .signatures import (
@@ -309,18 +308,11 @@ def _involvements(drawing, want_triples):
 
     A crossing "involves" a subset when all of the subset's vertices are
     among the crossing's four endpoints, so the count after removing a small
-    subset follows by inclusion-exclusion over these tables.
+    subset follows by inclusion-exclusion over these tables.  Point sets are
+    read through their signature.
     """
-    if isinstance(drawing, Signature):
-        n, sign, cr = drawing.n, drawing.sign, count_crossings_sig(drawing)
-    else:
-        pts = [tuple(p) for p in drawing]
-        n = len(pts)
-
-        def sign(a, b, c):
-            return 1 if orient(pts[a], pts[b], pts[c]) > 0 else -1
-
-        cr = count_crossings(drawing)
+    D = drawing if isinstance(drawing, Signature) else signature_of(drawing)
+    n, sign, cr = D.n, D.sign, count_crossings_sig(D)
     inv = [0] * n
     inv2 = {}
     inv3 = {}

@@ -12,9 +12,10 @@ Signs are stored one bit per lexicographically ranked triple (1 means +),
 LSB first inside each byte.
 
 Realizability is decided by a hull vertex plus the signotope axiom on
-4-subsets (``is_realizable``).  The 5-vertex catalog in ``_catalog5`` serves
-only ``realizable_after_flip``, which re-checks the 5-subsets around one
-flipped triple, and the test suite's slow oracle.
+4-subsets (``is_realizable``); whether one flip keeps a realizable signature
+realizable is decided from three signs per other vertex
+(``realizable_after_flip``).  ``_hull_order`` is the one place that finds an
+extreme vertex; the SVG wiring diagram starts its sweep from it too.
 """
 
 from dataclasses import dataclass
@@ -24,9 +25,6 @@ from math import comb
 
 from .geometry import DegenerateError, orient, _points
 from .geometry import crossings_involving as _crossings_involving
-from ._catalog5 import REALIZABLE5
-
-_TRIPLES5 = tuple(combinations(range(5), 3))
 
 
 @dataclass(frozen=True)
@@ -123,11 +121,18 @@ class Signature:
     def to_bytes(self):
         return bytes(self._bits)
 
+    def _triple(self, t):
+        """t sorted increasingly; ValueError unless it names three distinct
+        vertices of this signature."""
+        i, j, k = sorted(t)
+        if not 0 <= i < j < k < self.n:
+            raise ValueError(f"not three distinct vertices in 0..{self.n - 1}: {tuple(t)}")
+        return i, j, k
+
     def flip(self, t):
         """A new signature with the sign of triple t reversed."""
-        i, j, k = t
         out = self.copy()
-        out._flip_inplace((i, j, k))
+        out._flip_inplace(self._triple(t))
         return out
 
     def _flip_inplace(self, t):
@@ -279,32 +284,34 @@ def removal_values_sig(D):
     return [cr - involved[v] for v in range(n)]
 
 
-def _mask5(D, sub):
-    """10-bit sign mask of a 5-subset, lex triple order, 1 for +."""
-    sign = D.sign
-    m = 0
-    for r, (a, b, c) in enumerate(_TRIPLES5):
-        if sign(sub[a], sub[b], sub[c]) > 0:
-            m |= 1 << r
-    return m
+def _hull_order(D):
+    """A hull vertex h, then the other vertices p_0, p_1, ... ordered so that
+    every sign(h, p_i, p_j) with i < j is positive; None when no such order
+    exists, which means D is not realizable.
 
-
-def _hull_vertex(D):
-    """A vertex that lies on the convex hull whenever D is realizable.
-
-    Keeps an edge (a, b) with vertices 0..w-1 all to its left.  A vertex w to
-    its right lies outside their hull, so the edge is rebuilt from w to its
-    clockwise-most neighbour.  O(n) sign queries per rebuild, O(n^2) at most.
+    h is found by keeping an edge (a, b) with vertices 0..w-1 all to its
+    left.  A vertex w to its right lies outside their hull, so the edge is
+    rebuilt from w to its clockwise-most neighbour: O(n) sign queries per
+    rebuild, O(n^2) at most.  In a realizable signature h lies on the hull,
+    so its rotation is a transitive tournament (a beats b when
+    sign(h, a, b) > 0) with out-degrees exactly 0..n-2, and falling
+    out-degree is the order.
     """
+    n = D.n
     sign = D.sign
     a, b = 0, 1
-    for w in range(2, D.n):
+    for w in range(2, n):
         if sign(a, b, w) < 0:
             a, b = w, 0
             for x in range(1, w):
                 if sign(a, b, x) < 0:
                     b = x
-    return a
+    h = a
+    rest = [v for v in range(n) if v != h]
+    wins = {p: sum(1 for q in rest if q != p and sign(h, p, q) > 0) for p in rest}
+    if sorted(wins.values()) != list(range(n - 1)):
+        return None
+    return [h] + sorted(rest, key=wins.__getitem__, reverse=True)
 
 
 def _relabel(D, order):
@@ -371,29 +378,20 @@ def _is_signotope(E):
 def is_realizable(D):
     """Whether D is the signature of an arrangement of pseudolines, in O(n^4).
 
-    In a realizable signature the rotation around a hull vertex h is a
-    transitive tournament (a beats b when sign(h, a, b) > 0): its
-    out-degrees are exactly 0..n-2.  _hull_vertex finds such an h whenever D
-    is realizable, so D is not realizable if that h fails the test.
-    Ordering the other vertices by falling out-degree makes every
-    sign(h, p_i, p_j), i < j, positive, and D is then realizable exactly
-    when the relabelled signs of p_0..p_{n-2} form a signotope: along abc,
-    abd, acd, bcd every 4-subset changes sign at most once (Knuth, Axioms
-    and Hulls, LNCS 606, 1992; Felsner & Weil, Sweeps, arrangements and
-    signotopes, Discrete Appl. Math. 109, 2001).  The hull vertex costs
-    O(n^2) sign queries, the relabelling O(n^3), and the scan C(n-1, 3)
-    steps over (n-1)-bit rows.  Every signature on 3 vertices is realizable.
+    _hull_order gives a vertex h and an order p_0..p_{n-2} of the others
+    with every sign(h, p_i, p_j), i < j, positive, or None, and then D is
+    not realizable.  Otherwise D is realizable exactly when the relabelled
+    signs of p_0..p_{n-2} form a signotope: along abc, abd, acd, bcd every
+    4-subset changes sign at most once (Knuth, Axioms and Hulls, LNCS 606,
+    1992; Felsner & Weil, Sweeps, arrangements and signotopes, Discrete
+    Appl. Math. 109, 2001).  The order costs O(n^2) sign queries, the
+    relabelling O(n^3), and the scan C(n-1, 3) steps over (n-1)-bit rows.
+    Every signature on 3 vertices is realizable.
     """
-    n = D.n
-    if n < 4:
+    if D.n < 4:
         return True
-    h = _hull_vertex(D)
-    sign = D.sign
-    rest = [v for v in range(n) if v != h]
-    wins = {a: sum(1 for b in rest if b != a and sign(h, a, b) > 0) for a in rest}
-    if sorted(wins.values()) != list(range(n - 1)):
-        return False
-    return _is_signotope(_relabel(D, sorted(rest, key=wins.__getitem__, reverse=True)))
+    order = _hull_order(D)
+    return order is not None and _is_signotope(_relabel(D, order[1:]))
 
 
 def flip(D, t):
@@ -404,25 +402,34 @@ def flip(D, t):
 def realizable_after_flip(D, t):
     """Whether flipping triple t keeps a realizable signature realizable.
 
-    Only the sign of t changes, so only the C(n-3, 2) 5-subsets containing
-    all of t can turn bad; every other subset keeps its mask.  Assumes D is
-    realizable (the invariant maintained by flip search); then the result
-    equals is_realizable(flip(D, t)) at a fraction of the cost.  Below 5
-    vertices there are no such subsets, and the full check decides.
+    Assumes D is realizable (the invariant flip search maintains); the result
+    then equals is_realizable(flip(D, t)).  A flip of ijk keeps an
+    arrangement of pseudolines valid exactly when the pseudolines i, j, k
+    bound a triangular cell (Roudneff & Sturmfels, Simplicial cells in
+    arrangements and mutations of oriented matroids, Geom. Dedicata 27,
+    1988).  Each other vertex d checks its part from three signs:
+    s1 = sign(d, i, j), s2 = sign(d, i, k), s3 = sign(d, j, k).
+    s1 == s3 != s2 means d lies inside triangle ijk, and flipping that outer
+    triangle would leave the cyclic 4-subset {i, j, k, d}.  Otherwise i, j, k
+    lie in a half-turn around d, and the middle one is i when s1 != s2, else
+    j when s1 == s3, else k; the flip is valid when every d sees the same
+    middle vertex.  3(n-3) sign queries; True on 3 vertices.  Raises
+    ValueError unless t names three distinct vertices of D.
     """
-    if D.n < 5:
-        return is_realizable(D.flip(t))
-    i, j, k = sorted(t)
-    D._flip_inplace((i, j, k))
-    try:
-        rest = [x for x in range(D.n) if x not in (i, j, k)]
-        for p, q in combinations(rest, 2):
-            sub = tuple(sorted((i, j, k, p, q)))
-            if _mask5(D, sub) not in REALIZABLE5:
-                return False
-        return True
-    finally:
-        D._flip_inplace((i, j, k))
+    i, j, k = D._triple(t)
+    sign = D.sign
+    mid = None
+    for d in range(D.n):
+        if d == i or d == j or d == k:
+            continue
+        s1, s2, s3 = sign(d, i, j), sign(d, i, k), sign(d, j, k)
+        if s1 == s3 != s2:
+            return False
+        m = i if s1 != s2 else j if s1 == s3 else k
+        if mid is not None and m != mid:
+            return False
+        mid = m
+    return True
 
 
 def delete_vertex(D, v):

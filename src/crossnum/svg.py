@@ -10,13 +10,15 @@ values are written.
 Signatures become a wiring diagram of the allowable sequence: n wires,
 one per vertex, crossing pairwise exactly once in an order consistent
 with every triple sign.  The diagram is built combinatorially (no
-realizing coordinates are involved) by a greedy sweep: an adjacent wire
-pair may swap only when, for every third wire, that swap is the next
-event of the triple's own three-crossing sub-diagram.  A fresh triple
-with top-to-bottom order (u, v, w) swaps its top pair first exactly when
-sign(u, v, w) is positive.  After construction the diagram is replayed
-and every triple sign re-extracted and compared against the signature,
-so a written wiring diagram is always a certified rendering.
+realizing coordinates are involved) by a greedy sweep from one start:
+``signatures._hull_order``, a hull vertex on top and the other wires in
+the order in which it sees them.  An adjacent wire pair may swap only
+when, for every third wire, that swap is the next event of the triple's
+own three-crossing sub-diagram.  A fresh triple with top-to-bottom order
+(u, v, w) swaps its top pair first exactly when sign(u, v, w) is
+positive.  After construction the diagram is replayed and every triple
+sign re-extracted and compared against the signature, so a written wiring
+diagram is always a certified rendering.
 
 Both renderings carry a caption with the vertex count and the exact
 crossing count.
@@ -28,7 +30,7 @@ from math import comb
 
 from .doubling import VerificationError
 from .geometry import PointSet, count_crossings
-from .signatures import Signature, _rotation_windows, count_crossings_sig
+from .signatures import Signature, _hull_order, count_crossings_sig
 
 VIEW_W = 840
 VIEW_H = 640
@@ -104,21 +106,6 @@ def _points_svg(S):
     return "".join(parts)
 
 
-def _sweep_starts(D):
-    """Initial wire orders to try: an extreme vertex on top, then the
-    remaining wires in the cyclic rotation order cut at the half-plane
-    gap.  A vertex is extreme exactly when one of its rotation windows
-    holds all other vertices."""
-    m = D.n - 1
-    starts = []
-    for h in range(D.n):
-        rot, av = _rotation_windows(D, h)
-        for p in range(m):
-            if av[p] == m - 1:
-                starts.append([h] + [rot[(p + t) % m] for t in range(m)])
-    return starts
-
-
 def _next_in_triple(sign, pos, done, x, y, z):
     """Whether swapping adjacent wires (x above y) is the next event of
     the triple {x, y, z}."""
@@ -188,15 +175,11 @@ def wiring_diagram(D):
     Each event is a pair (x, y): wire x, just above wire y, crosses
     below it.  Raises VerificationError if no certified diagram exists.
     """
-    if D.n == 1:
-        return [0], []
-    if D.n == 2:
-        return [0, 1], [(0, 1)]
-    for start in _sweep_starts(D):
-        events = _greedy_sweep(D, start)
-        if events is not None and _check_wiring(D, start, events):
-            return start, events
-    raise VerificationError("no consistent wiring diagram found")
+    start = _hull_order(D)
+    events = None if start is None else _greedy_sweep(D, start)
+    if events is None or not _check_wiring(D, start, events):
+        raise VerificationError("no consistent wiring diagram found")
+    return start, events
 
 
 def _signature_svg(D):

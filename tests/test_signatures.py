@@ -1,18 +1,18 @@
 """Signature container, counting, realizability against the 5-vertex catalog
-oracle, and the catalog itself."""
+oracle, and the catalog itself, derived here by two independent routes."""
 
 import random
+from functools import cache
 from itertools import combinations, permutations
 from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossnum._catalog5 import REALIZABLE5
 from crossnum.geometry import DegenerateError, count_crossings, orient, removal_values, sweep_around
 from crossnum.signatures import (
     Signature,
-    _mask5,
     TripleId,
     convex_signature,
     count_crossings_sig,
@@ -99,6 +99,44 @@ def test_realizable_after_flip_matches_full_check():
         assert D == before  # query must not mutate
 
 
+def test_realizable_after_flip_on_every_small_signature():
+    for n in (3, 4, 5):
+        nbytes = (comb(n, 3) + 7) // 8
+        for mask in range(1 << comb(n, 3)):
+            D = Signature(n, mask.to_bytes(nbytes, "little"))
+            if is_realizable(D):
+                for t in combinations(range(n), 3):
+                    assert realizable_after_flip(D, t) == is_realizable(D.flip(t)), (n, mask, t)
+
+
+@pytest.mark.parametrize("start", ["convex", "points"])
+def test_realizable_after_flip_along_flip_walks(start):
+    rng = random.Random(97)
+    kept = 0
+    for _ in range(30):
+        n = rng.randint(5, 16)
+        D = convex_signature(n) if start == "convex" else signature_of(rand_general(rng, n))
+        for _ in range(40):
+            t = tuple(rng.sample(range(n), 3))  # unsorted on purpose
+            F = D.flip(t)
+            ok = is_realizable(F)
+            assert realizable_after_flip(D, t) == ok, (n, t)
+            if ok:
+                D = F
+                kept += 1
+    assert kept >= 100  # the walks leave their starting signatures
+
+
+def test_flip_rejects_invalid_triples():
+    D = convex_signature(6)
+    for t in ((1, 3, 9), (2, 2, 2), (0, 0, 2), (-1, 0, 1), (0, 1), (0, 1, 2, 3)):
+        for call in (D.flip, lambda t: flip(D, t), lambda t: realizable_after_flip(D, t)):
+            with pytest.raises(ValueError):
+                call(t)
+    assert D == convex_signature(6)
+    assert D.flip((5, 1, 3)) == D.flip(TripleId(1, 3, 5))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_sign_parity_property(data):
@@ -163,13 +201,33 @@ def test_rotation_matches_geometric_sweep():
 # ---------------------------------------------------------------------------
 
 
+TRIPLES5 = list(combinations(range(5), 3))
+
+
+@cache
+def realizable5():
+    """The 264 realizable 10-bit masks of 5 vertices (see _mask5), from the
+    geometric route; test_catalog_dual_route checks it against the axioms."""
+    return frozenset(_route_geometric())
+
+
+def _mask5(D, sub):
+    """10-bit sign mask of a 5-subset, lex triple order, 1 for +."""
+    m = 0
+    for r, (a, b, c) in enumerate(TRIPLES5):
+        if D.sign(sub[a], sub[b], sub[c]) > 0:
+            m |= 1 << r
+    return m
+
+
 def realizable_by_catalog(D):
     """Slow oracle: every 5-subset's sign pattern occurs in some point set.
 
     Five-vertex consistency characterizes the signatures of pseudolinear
     drawings on at least 5 vertices.
     """
-    return all(_mask5(D, sub) in REALIZABLE5 for sub in combinations(range(D.n), 5))
+    catalog = realizable5()
+    return all(_mask5(D, sub) in catalog for sub in combinations(range(D.n), 5))
 
 
 def _flipped_point_signature(data, n):
@@ -199,7 +257,7 @@ def test_realizable_matches_catalog_on_arbitrary_signs(data):
 def test_realizable_matches_catalog_on_every_5_vertex_mask():
     for mask in range(1024):
         D = Signature(5, mask.to_bytes(2, "little"))
-        assert is_realizable(D) == (mask in REALIZABLE5), mask
+        assert is_realizable(D) == (mask in realizable5()), mask
 
 
 def test_realizable_4_vertex_patterns_are_the_point_patterns():
@@ -232,8 +290,6 @@ def test_realizable_invariant_under_relabel_and_mirror(data):
 # ---------------------------------------------------------------------------
 # dual-route re-derivation of the 5-vertex realizability catalog
 # ---------------------------------------------------------------------------
-
-TRIPLES5 = list(combinations(range(5), 3))
 
 
 def _mask_of_points(pts):
@@ -313,6 +369,6 @@ def test_catalog_dual_route():
     geo = _route_geometric()
     axiom = _route_axiomatic()
     assert geo == axiom
-    assert frozenset(geo) == REALIZABLE5
+    assert frozenset(geo) == realizable5()
     assert len(geo) == 264
     assert 0b1111111111 in geo  # convex position

@@ -10,9 +10,9 @@ import pytest
 
 from crossnum.geometry import PointSet, count_crossings
 from crossnum.io import load_points
-from crossnum.signatures import convex_signature, count_crossings_sig, signature_of
+from crossnum.signatures import Signature, convex_signature, count_crossings_sig, signature_of
 from crossnum.svg import VIEW_H, VIEW_W, export_svg, wiring_diagram
-from crossnum.doubling import double_signature
+from crossnum.doubling import VerificationError, double_signature
 from crossnum.halving import halving_matching_sig
 
 from conftest import rand_general
@@ -150,6 +150,12 @@ def test_wiring_diagram_of_doubled_signature(tmp_path):
     start, events = wiring_diagram(D2)
     assert len(events) == D2.n * (D2.n - 1) // 2
     export_svg(D2, tmp_path / "d.svg")
+
+
+def test_wiring_diagram_rejects_cyclic_4_vertex_patterns():
+    for bits in (b"\x05", b"\x0a"):
+        with pytest.raises(VerificationError):
+            wiring_diagram(Signature(4, bits))
 
 
 def test_export_dispatch_type_error(tmp_path):
