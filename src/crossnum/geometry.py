@@ -8,10 +8,12 @@ convex position, which is what the counters compute.
 
 The fast counter uses one angular sweep per point.  Around a sweep center,
 directions to the other points are split into two half-turn blocks and sorted
-by an exact integer key, so collinear points show up as key collisions and
-everything stays in pure integer arithmetic.
+by an exact integer key, scaled once for the whole point set, so collinear
+points show up as key collisions and everything stays in pure integer
+arithmetic.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -96,9 +98,80 @@ def _points(S):
     return [tuple(p) for p in S]
 
 
-def _is_upper(v):
-    """True for directions with angle in [0, pi): dy > 0, or dy == 0 and dx > 0."""
-    return v[1] > 0 or (v[1] == 0 and v[0] > 0)
+def _key_scale(pts):
+    """Key scale K and axis key for every direction between two of pts.
+
+    With M the larger of the x- and y-span of pts, every direction component
+    is at most M, so two distinct folded slopes differ by at least 1/M^2 and
+    flooring them scaled by K = M^2 + 1 keeps them on distinct keys.  The
+    axis key, -(M*K) - 1, lies below every such key.
+    """
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    M = max(max(xs) - min(xs), max(ys) - min(ys))
+    K = M * M + 1
+    return K, -M * K - 1
+
+
+def _sweep(pts, center, K, axis):
+    """The sweep of sweep_around under a given key scale, plus its sorted blocks.
+
+    Returns (order, avals, up, low), where up and low are the upper and lower
+    half-turn blocks as sorted (key, index) lists.  A direction (dx, dy) is
+    folded into the upper half turn and keyed by (-dx)*K // dy; horizontal
+    directions get the axis key.  K and axis must come from _key_scale of a
+    set that contains pts.
+    """
+    cx, cy = pts[center]
+    up = []
+    low = []
+    for idx, (x, y) in enumerate(pts):
+        dx = x - cx
+        dy = y - cy
+        if dy > 0:
+            up.append(((-dx) * K // dy, idx))
+        elif dy < 0:
+            low.append((dx * K // (-dy), idx))
+        elif dx > 0:
+            up.append((axis, idx))
+        elif dx < 0:
+            low.append((axis, idx))
+        elif idx != center:
+            raise DegenerateError("repeated point at index %d" % idx)
+    up.sort()
+    low.sort()
+
+    nu = len(up)
+    nl = len(low)
+    order = []
+    avals = []
+    # Window counts by merging the two sorted blocks.  For an upper element,
+    # later upper elements plus the lower elements with a strictly smaller
+    # folded key fall in its window; symmetrically for lower elements.  Equal
+    # keys are equal or opposite directions.
+    j = 0
+    prev = None
+    for i, (key, idx) in enumerate(up):
+        if key == prev:
+            raise DegenerateError("collinear points through sweep center")
+        prev = key
+        while j < nl and low[j][0] < key:
+            j += 1
+        if j < nl and low[j][0] == key:
+            raise DegenerateError("collinear points through sweep center")
+        order.append(idx)
+        avals.append(nu - 1 - i + j)
+    j = 0
+    prev = None
+    for i, (key, idx) in enumerate(low):
+        if key == prev:
+            raise DegenerateError("collinear points through sweep center")
+        prev = key
+        while j < nu and up[j][0] < key:
+            j += 1
+        order.append(idx)
+        avals.append(nl - 1 - i + j)
+    return order, avals, up, low
 
 
 def sweep_around(pts, center):
@@ -113,84 +186,7 @@ def sweep_around(pts, center):
     Raises DegenerateError when two directions coincide or oppose, i.e. when
     the center lies on a line through two other points or a point repeats.
     """
-    cx, cy = pts[center]
-    diffs = []
-    m = 0
-    for idx in range(len(pts)):
-        if idx == center:
-            continue
-        dx = pts[idx][0] - cx
-        dy = pts[idx][1] - cy
-        if dx == 0 and dy == 0:
-            raise DegenerateError("repeated point at index %d" % idx)
-        a = dx if dx >= 0 else -dx
-        b = dy if dy >= 0 else -dy
-        if a > m:
-            m = a
-        if b > m:
-            m = b
-        diffs.append((dx, dy, idx))
-    # Distinct directions differ in slope by at least 1/m^2, so scaling by
-    # m^2 + 1 before flooring keeps distinct directions on distinct keys.
-    K = m * m + 1
-    up = []
-    low = []
-    up_axis = low_axis = None
-    for dx, dy, idx in diffs:
-        if dy > 0:
-            up.append(((-dx) * K // dy, idx))
-        elif dy < 0:
-            low.append((dx * K // (-dy), idx))
-        elif dx > 0:
-            if up_axis is not None:
-                raise DegenerateError("collinear points through sweep center")
-            up_axis = idx
-        else:
-            if low_axis is not None:
-                raise DegenerateError("collinear points through sweep center")
-            low_axis = idx
-    if up_axis is not None and low_axis is not None:
-        raise DegenerateError("collinear points through sweep center")
-    up.sort()
-    low.sort()
-
-    nu = len(up) + (up_axis is not None)
-    nl = len(low) + (low_axis is not None)
-    order = []
-    avals = []
-
-    # Window counts by merging the two sorted blocks.  For an upper element,
-    # later upper elements plus the lower elements with a strictly smaller
-    # folded key (and the lower axis point, folded to angle 0) fall in its
-    # window; symmetrically for lower elements.
-    if up_axis is not None:
-        order.append(up_axis)
-        avals.append(nu - 1)
-    j = 0
-    prev = None
-    for i, (key, idx) in enumerate(up):
-        if key == prev:
-            raise DegenerateError("collinear points through sweep center")
-        prev = key
-        while j < len(low) and low[j][0] < key:
-            j += 1
-        if j < len(low) and low[j][0] == key:
-            raise DegenerateError("collinear points through sweep center")
-        order.append(idx)
-        avals.append((nu - 1 - (i + (up_axis is not None))) + j + (low_axis is not None))
-    if low_axis is not None:
-        order.append(low_axis)
-        avals.append(nl - 1)
-    j = 0
-    prev = None
-    for i, (key, idx) in enumerate(low):
-        if key == prev:
-            raise DegenerateError("collinear points through sweep center")
-        prev = key
-        while j < len(up) and up[j][0] < key:
-            j += 1
-        order.append(idx)
-        avals.append((nl - 1 - (i + (low_axis is not None))) + j + (up_axis is not None))
+    order, avals, _, _ = _sweep(pts, center, *_key_scale(pts))
     return order, avals
 
 
@@ -205,10 +201,11 @@ def count_crossings(S):
     n = len(pts)
     if n < 3:
         raise ValueError("need at least 3 points")
+    scale = _key_scale(pts)
     total_t = 0
     base = comb(n - 1, 3)
     for p in range(n):
-        _, avals = sweep_around(pts, p)
+        avals = _sweep(pts, p, *scale)[1]
         total_t += base - sum(a * (a - 1) // 2 for a in avals)
     return comb(n, 4) - total_t
 
@@ -289,77 +286,35 @@ def removal_values(S):
     n = len(pts)
     if n < 4:
         raise ValueError("need at least 4 points")
-    cr, involved = crossings_involving(n, (sweep_around(pts, x) for x in range(n)))
+    scale = _key_scale(pts)
+    cr, involved = crossings_involving(n, (_sweep(pts, x, *scale)[:2] for x in range(n)))
     return [cr - involved[p] for p in range(n)]
-
-
-class _SweepTable:
-    """Stored sweep around one point, queryable by arbitrary exact directions."""
-
-    __slots__ = ("vecs", "avals", "nu", "pref", "tot", "m")
-
-    def __init__(self, pts, center):
-        order, avals = sweep_around(pts, center)
-        cx, cy = pts[center]
-        self.vecs = [(pts[w][0] - cx, pts[w][1] - cy) for w in order]
-        self.avals = avals
-        self.nu = sum(1 for v in self.vecs if _is_upper(v))
-        self.pref = _window_prefix(avals)
-        self.tot = self.pref[-1]
-        self.m = len(order)
-
-    def _bisect(self, lo, hi, e):
-        """Insertion cut for upper-class direction e among vecs[lo:hi] (folded)."""
-        fold = lo >= self.nu
-        while lo < hi:
-            mid = (lo + hi) // 2
-            wx, wy = self.vecs[mid]
-            if fold:
-                wx, wy = -wx, -wy
-            c = wx * e[1] - wy * e[0]
-            if c == 0:
-                raise DegenerateError("candidate collinear with two points")
-            if c > 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    def window_count_and_arcsum(self, d):
-        """For direction d from the center: the number of stored points in the
-        open half turn after d, and the sum of window counts over the stored
-        points in the open half turn before d."""
-        e = d if _is_upper(d) else (-d[0], -d[1])
-        cut_u = self._bisect(0, self.nu, e)
-        cut_l = self._bisect(self.nu, self.m, e)
-        if _is_upper(d):
-            ins_d, ins_nd = cut_u, cut_l
-        else:
-            ins_d, ins_nd = cut_l, cut_u
-        mv = self.m
-        s = ins_d % mv
-        t = ins_nd % mv
-        if s == t:
-            # Either every stored point is in the half turn after d or none is.
-            wx, wy = self.vecs[s % mv]
-            inside = d[0] * wy - d[1] * wx > 0
-            if inside:
-                return mv, 0
-            return 0, self.tot
-        aq = (t - s) % mv
-        if t <= s:
-            arcsum = self.pref[s] - self.pref[t]
-        else:
-            arcsum = self.tot - (self.pref[t] - self.pref[s])
-        return aq, arcsum
 
 
 def evaluate_candidates(S, batch):
     """Crossing count of S with the anchor replaced by each candidate.
 
-    The batch shares all sweeps over S minus the anchor; each candidate then
-    costs one fresh sweep around itself plus two binary searches per vertex.
-    A candidate that breaks general position yields None instead of a count.
+    Let T be S without the anchor, with m points.  The batch sweeps around
+    every point of T once, keying directions by one exact scale K = M^2 + 1,
+    where M is the larger span of T together with all candidates: every
+    direction from a point of T to another point or to a candidate then has
+    components of size at most M, so its folded key follows the angular
+    order exactly and two keys are equal exactly when the directions are
+    collinear (the argument of ``_key_scale``).
+
+    A candidate q costs, per point v of T, one key for d = q - v and two
+    bisections into v's sorted upper and lower key blocks.  They give a_v,
+    the number of points of T in the open half turn after d, and the sum of
+    window counts over the points before d, which is what the formula of
+    ``crossings_involving`` needs for the triangles qvw containing a point.
+    No sweep around q is needed for the triangles of T containing q: a point
+    w of T other than v lies left of q->v exactly when it lies right of
+    v->q, so v's window count around q is (m - 1) - a_v.  Total cost
+    O(m^2 log m) for the tables plus O(m log m) per candidate.
+
+    A candidate that breaks general position (it repeats a point of T, or a
+    key equals a stored key, i.e. it lies on a line through two points of T)
+    yields None instead of a count.
     """
     pts = _points(S)
     n = len(pts)
@@ -370,26 +325,52 @@ def evaluate_candidates(S, batch):
     m = n - 1
     if m < 3:
         raise ValueError("need at least 4 points")
+    K, axis = _key_scale(T + list(batch.candidates))
+    top = -axis  # above every key, so a bisection never runs off a block
+    # a_v and (m - 1) - a_v both enter as C(., 2), so one table indexed by
+    # either of them serves both.
+    pair_terms = [j * (j - 1) // 2 + (m - 1 - j) * (m - 2 - j) // 2 for j in range(m)]
     tables = []
     base_t = 0
     for v in range(m):
-        tab = _SweepTable(T, v)
-        tables.append(tab)
-        base_t += comb(m - 1, 3) - sum(a * (a - 1) // 2 for a in tab.avals)
-    base = comb(m, 4) - base_t
-    cmm = comb(m - 1, 2)
+        _, avals, up, low = _sweep(T, v, K, axis)
+        base_t += comb(m - 1, 3) - sum(a * (a - 1) // 2 for a in avals)
+        pref = _window_prefix(avals)
+        ukeys = [k for k, _ in up]
+        ukeys.append(top)
+        lkeys = [k for k, _ in low]
+        lkeys.append(top)
+        tables.append((T[v][0], T[v][1], ukeys, lkeys, len(up), pref, pref[-1]))
+    base = comb(m, 4) - base_t - m * comb(m - 1, 2)
     results = []
-    for q in batch.candidates:
-        ext = T + [q]
-        try:
-            _, avals = sweep_around(ext, m)
-            t_q = comb(m, 3) - sum(a * (a - 1) // 2 for a in avals)
-            u_total = 0
-            for v in range(m):
-                d = (q[0] - T[v][0], q[1] - T[v][1])
-                aq, arcsum = tables[v].window_count_and_arcsum(d)
-                u_total += cmm - aq * (aq - 1) // 2 - arcsum
-            results.append(base + comb(m, 3) - t_q - u_total)
-        except DegenerateError:
-            results.append(None)
+    for qx, qy in batch.candidates:
+        total = base
+        for vx, vy, ukeys, lkeys, nu, pref, tot in tables:
+            dx = qx - vx
+            dy = qy - vy
+            if dy > 0:
+                key = (-dx) * K // dy
+                upper = True
+            elif dy < 0:
+                key = dx * K // (-dy)
+                upper = False
+            elif dx:
+                key = axis
+                upper = dx > 0
+            else:
+                break
+            cu = bisect_left(ukeys, key)
+            cl = bisect_left(lkeys, key)
+            if ukeys[cu] == key or lkeys[cl] == key:
+                break
+            # Positions cu .. nu + cl - 1 lie after the upper fold of d and
+            # before its lower fold: the half turn before d when d is lower,
+            # the one after it when d is upper.  Their count is a_v or
+            # (m - 1) - a_v.
+            span = pref[nu + cl] - pref[cu]
+            total += pair_terms[nu - cu + cl] + (tot - span if upper else span)
+        else:
+            results.append(total)
+            continue
+        results.append(None)
     return results

@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import inf, lcm
+from math import floor, inf, lcm
 
 from .geometry import (
     CandidateBatch,
@@ -181,8 +181,9 @@ def _ray_step(pts, others, cur, d):
     """First line crossed by the ray cur + t*d and a point in the next cell.
 
     Returns (a, b, midpoint) where (a, b) spans the first line crossed and
-    midpoint lies strictly between the first and second crossings (one unit
-    past the first when the next cell is unbounded).  Returns None when the
+    midpoint is the ray point at the parameter of smallest denominator in the
+    middle third between the first and second crossings (one unit past the
+    first when the next cell is unbounded), so positions stay small.  Returns None when the
     ray crosses no line forward or hits an arrangement vertex exactly.
     """
     t1 = t2 = None
@@ -209,8 +210,32 @@ def _ray_step(pts, others, cur, d):
                 t2 = t
     if t1 is None:
         return None
-    mid = t1 + 1 if t2 is None else (t1 + t2) / 2
+    mid = t1 + 1 if t2 is None else _simplest_between((2 * t1 + t2) / 3, (t1 + 2 * t2) / 3)
     return line[0], line[1], (cur[0] + mid * d[0], cur[1] + mid * d[1])
+
+
+def _simplest_between(lo, hi):
+    """The rational of smallest denominator in the open interval (lo, hi), 0 <= lo.
+
+    Stern-Brocot descent by whole continued-fraction terms (Graham, Knuth &
+    Patashnik, *Concrete Mathematics*, section 4.5): while no integer lies in
+    the interval, the answer is a + 1/y with a the common integer part and y
+    the simplest rational in (1/(hi - a), 1/(lo - a)).
+    """
+    terms = []
+    while True:
+        a = floor(lo)
+        if a + 1 < hi:
+            x = Fraction(a + 1)
+            break
+        terms.append(a)
+        if lo == a:
+            x = Fraction(floor(1 / (hi - a)) + 1)
+            break
+        lo, hi = 1 / (hi - a), 1 / (lo - a)
+    for a in reversed(terms):
+        x = a + 1 / x
+    return x
 
 
 def cell_walk(S, v, budget, mode="random", progress=None, on_state=None):

@@ -86,7 +86,7 @@ class Signature:
             self._bits[r >> 3] &= ~(1 << (r & 7)) & 0xFF
 
     def sign(self, a, b, c):
-        """Orientation sign of any three distinct vertices, +1 or -1.
+        """Orientation sign of any three distinct vertices in 0..n-1, +1 or -1.
 
         Swapping two vertices flips the sign, exactly like the determinant
         orientation of three points.
@@ -98,12 +98,12 @@ class Signature:
             b, c, s = c, b, -s
             if a > b:
                 a, b, s = b, a, -s
-        if a == b or b == c:
-            raise ValueError("vertices of a triple must be distinct")
+        if not 0 <= a < b < c < self.n:
+            raise ValueError(f"not three distinct vertices in 0..{self.n - 1}: {(a, b, c)}")
         return s if self._get(self.rank(a, b, c)) else -s
 
     def set_sign(self, a, b, c, value):
-        """Store the sign (+1/-1) for any distinct triple, parity-adjusted."""
+        """Store the sign (+1/-1) for any distinct triple in 0..n-1, parity-adjusted."""
         s = 1 if value > 0 else -1
         if a > b:
             a, b, s = b, a, -s
@@ -111,8 +111,8 @@ class Signature:
             b, c, s = c, b, -s
             if a > b:
                 a, b, s = b, a, -s
-        if a == b or b == c:
-            raise ValueError("vertices of a triple must be distinct")
+        if not 0 <= a < b < c < self.n:
+            raise ValueError(f"not three distinct vertices in 0..{self.n - 1}: {(a, b, c)}")
         self._put(self.rank(a, b, c), 1 if s > 0 else 0)
 
     def copy(self):

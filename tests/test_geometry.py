@@ -1,6 +1,7 @@
 """Exact predicates, crossing counters, and candidate evaluation."""
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from crossnum.geometry import (
     orient,
     removal_values,
     segments_cross,
+    sweep_around,
 )
 
 from conftest import convex_points, general_position, rand_general
@@ -117,6 +119,134 @@ def test_evaluate_candidates_oracle():
                 assert v == count_crossings(PointSet(tuple(sub)))
         assert vals[n] == count_crossings(S)
         assert vals[n + 1] is None
+
+
+# ---------------------------------------------------------------------------
+# candidate evaluation against the per-candidate sweep oracle
+
+
+def _is_upper(v):
+    """True for directions with angle in [0, pi): dy > 0, or dy == 0 and dx > 0."""
+    return v[1] > 0 or (v[1] == 0 and v[0] > 0)
+
+
+class _SweepTable:
+    """Stored sweep around one point, queryable by exact cross products."""
+
+    def __init__(self, pts, center):
+        order, avals = sweep_around(pts, center)
+        cx, cy = pts[center]
+        self.vecs = [(pts[w][0] - cx, pts[w][1] - cy) for w in order]
+        self.nu = sum(1 for v in self.vecs if _is_upper(v))
+        self.pref = [0]
+        for a in avals:
+            self.pref.append(self.pref[-1] + a)
+        self.tot = self.pref[-1]
+        self.m = len(order)
+
+    def _bisect(self, lo, hi, e):
+        """Insertion cut for upper-class direction e among vecs[lo:hi] (folded)."""
+        fold = lo >= self.nu
+        while lo < hi:
+            mid = (lo + hi) // 2
+            wx, wy = self.vecs[mid]
+            if fold:
+                wx, wy = -wx, -wy
+            c = wx * e[1] - wy * e[0]
+            if c == 0:
+                raise DegenerateError("candidate collinear with two points")
+            if c > 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    def window_count_and_arcsum(self, d):
+        e = d if _is_upper(d) else (-d[0], -d[1])
+        cut_u = self._bisect(0, self.nu, e)
+        cut_l = self._bisect(self.nu, self.m, e)
+        ins_d, ins_nd = (cut_u, cut_l) if _is_upper(d) else (cut_l, cut_u)
+        mv = self.m
+        s = ins_d % mv
+        t = ins_nd % mv
+        if s == t:
+            wx, wy = self.vecs[s % mv]
+            if d[0] * wy - d[1] * wx > 0:
+                return mv, 0
+            return 0, self.tot
+        aq = (t - s) % mv
+        if t <= s:
+            arcsum = self.pref[s] - self.pref[t]
+        else:
+            arcsum = self.tot - (self.pref[t] - self.pref[s])
+        return aq, arcsum
+
+
+def evaluate_candidates_oracle(S, batch):
+    """Candidate counts from a fresh sweep around each candidate plus two
+    cross-product binary searches per vertex (the former implementation)."""
+    pts = [tuple(p) for p in S]
+    h = batch.anchor_index
+    T = pts[:h] + pts[h + 1:]
+    m = len(T)
+    tables = [_SweepTable(T, v) for v in range(m)]
+    base = comb(m, 4) - sum(
+        comb(m - 1, 3) - sum(a * (a - 1) // 2 for a in sweep_around(T, v)[1]) for v in range(m)
+    )
+    cmm = comb(m - 1, 2)
+    results = []
+    for q in batch.candidates:
+        try:
+            _, avals = sweep_around(T + [q], m)
+            t_q = comb(m, 3) - sum(a * (a - 1) // 2 for a in avals)
+            u_total = 0
+            for v in range(m):
+                d = (q[0] - T[v][0], q[1] - T[v][1])
+                aq, arcsum = tables[v].window_count_and_arcsum(d)
+                u_total += cmm - aq * (aq - 1) // 2 - arcsum
+            results.append(base + comb(m, 3) - t_q - u_total)
+        except DegenerateError:
+            results.append(None)
+    return results
+
+
+def _hard_candidates(rng, S, h, far):
+    """Candidates on lines through two points of S minus the anchor (beyond
+    and between them), on horizontal lines through one, repeated points, the
+    identity move, far outside the bounding box, and random ones.  S must be
+    scaled by 6 so thirds and halves of its differences are integral."""
+    T = [S[i] for i in range(S.n) if i != h]
+    lim = max(max(abs(x), abs(y)) for x, y in T)
+    cands = [S[h], rng.choice(T)]
+    for _ in range(6):
+        (ax, ay), (bx, by) = rng.sample(T, 2)
+        k = rng.choice((-12, -6, -3, 2, 3, 4, 9, 12, 18))  # t = k / 6
+        cands.append((ax + (bx - ax) * k // 6, ay + (by - ay) * k // 6))
+        cx, cy = rng.choice(T)
+        cands.append((cx + rng.randint(-2 * lim, 2 * lim), cy))
+        cands.append((rng.randint(-far, far), rng.randint(-far, far)))
+        cands.append((rng.randint(-lim, lim), rng.randint(-lim, lim)))
+    rng.shuffle(cands)
+    return tuple(cands)
+
+
+def test_evaluate_candidates_matches_sweep_oracle():
+    rng = random.Random(61)
+    nones = 0
+    for trial in range(150):
+        n = rng.randint(4, 12)
+        lim = rng.choice((40, 10**4, 10**9))
+        S = PointSet(tuple((6 * x, 6 * y) for x, y in rand_general(rng, n, lim)))
+        if trial % 5 == 4:  # coordinates near 10**90
+            S = PointSet(tuple((x + 10**90, y - 10**90) for x, y in S))
+        h = rng.randrange(n)
+        far = rng.choice((10**3, 10**12, 10**90)) * lim
+        batch = CandidateBatch(h, _hard_candidates(rng, S, h, far))
+        got = evaluate_candidates(S, batch)
+        assert got == evaluate_candidates_oracle(S, batch), trial
+        nones += got.count(None)
+        assert got[batch.candidates.index(S[h])] == count_crossings(S)
+    assert nones >= 900  # the degenerate candidates are really exercised
 
 
 def test_degenerate_raises():

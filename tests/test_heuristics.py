@@ -2,6 +2,7 @@
 monotonicity, and the greedy shrink against brute subset oracles."""
 
 import random
+from importlib import resources
 from itertools import combinations
 from math import lcm
 
@@ -28,6 +29,7 @@ from crossnum.signatures import (
     is_realizable,
     signature_of,
 )
+from crossnum.io import load_points
 
 from conftest import convex_points, rand_general
 
@@ -107,6 +109,24 @@ def test_cell_walk_triangle_cells():
 
         cell_walk(S, 3, SearchBudget(max_steps=12, rng_seed=seed), on_state=check)
     assert all(v > 3 for v in seen.values()), seen
+
+
+def _coord_bits(S):
+    return max(max(abs(x).bit_length(), abs(y).bit_length()) for x, y in S)
+
+
+def test_cell_walk_keeps_coordinates_small():
+    # Each step lands on the simplest rational of the middle third of the
+    # next cell, so a long walk stays near the input's size (stepping to
+    # cell midpoints reached 33,691 bits here).
+    golden = load_points(str(resources.files("crossnum.data") / "k2643.txt"))
+    S = PointSet(tuple(golden[:48]))
+    b = SearchBudget(max_steps=60, rng_seed=1)
+    R = cell_walk(S, 5, b)
+    assert tuple(R) == tuple(cell_walk(S, 5, b))
+    assert count_crossings(R) < count_crossings(S)
+    assert _coord_bits(S) == 319
+    assert _coord_bits(R) <= _coord_bits(S) + 4
 
 
 def test_relocation_reaches_one_from_convex5():

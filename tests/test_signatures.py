@@ -137,6 +137,16 @@ def test_flip_rejects_invalid_triples():
     assert D.flip((5, 1, 3)) == D.flip(TripleId(1, 3, 5))
 
 
+def test_sign_rejects_out_of_range_vertices():
+    D = convex_signature(6)
+    for t in ((0, 1, 9), (9, 1, 0), (0, 1, 6), (-1, 0, 1), (2, -1, 4), (3, 3, 1)):
+        with pytest.raises(ValueError):
+            D.sign(*t)
+        with pytest.raises(ValueError):
+            D.set_sign(*t, -1)
+    assert D == convex_signature(6)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_sign_parity_property(data):
