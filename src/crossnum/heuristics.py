@@ -183,8 +183,9 @@ def _ray_step(pts, others, cur, d):
     Returns (a, b, midpoint) where (a, b) spans the first line crossed and
     midpoint is the ray point at the parameter of smallest denominator in the
     middle third between the first and second crossings (one unit past the
-    first when the next cell is unbounded), so positions stay small.  Returns None when the
-    ray crosses no line forward or hits an arrangement vertex exactly.
+    first when the next cell is unbounded), so positions stay small.  Returns
+    None when the ray crosses no line forward or hits an arrangement vertex
+    exactly.
     """
     t1 = t2 = None
     line = None
