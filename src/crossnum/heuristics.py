@@ -11,23 +11,27 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import floor, inf, lcm
+from math import comb, floor, inf, lcm
 
 from .geometry import (
     CandidateBatch,
     PointSet,
+    _int_table,
     count_crossings,
     evaluate_candidates,
+    left_table,
+    orient,
     removal_values,
+    sweep_around,
+    triple_crossings,
 )
 from .signatures import (
     Signature,
-    _pair_crossing,
-    count_crossings_sig,
+    _rotation_windows,
     delete_vertex,
+    is_realizable,
     realizable_after_flip,
     removal_values_sig,
-    signature_of,
 )
 
 _DIRECTION_RANGE = 10**9
@@ -153,28 +157,28 @@ def random_relocation(S, budget, nbhd=None, progress=None):
     return best
 
 
-def _flip_delta(D, a, b, v):
-    """Change in crossing count when the orientation of (a, b, v) flips.
+def _left_count(n, L):
+    """Crossing count from a left_table's L, by the k-edge identity."""
+    return comb(n, 4) - n * comb(n - 1, 3) + sum(x * (x - 1) // 2 for x in L)
 
-    Only 4-subsets containing all of a, b, v are affected, so the update
-    costs O(n) sign probes.
+
+def _left_delta(n, L, a, b, c):
+    """Change in crossing count when the counterclockwise triangle abc turns.
+
+    L is a flat left_table.  Each pair of the triangle moves its third
+    vertex from the left to the right: with L(a, b) the count left of a->b,
+    its C(L, 2) terms change by -(L(a, b) - 1) + L(b, a), and
+    L(a, b) + L(b, a) = n - 2.  Exact whenever the drawing stays a point set
+    or a realizable signature.
     """
-    t = tuple(sorted((a, b, v)))
-    sign = D.sign
-    before = after = 0
-    for x in range(D.n):
-        if x == a or x == b or x == v:
-            continue
-        if _pair_crossing(sign, a, b, v, x):
-            before += 1
-    D._flip_inplace(t)
-    for x in range(D.n):
-        if x == a or x == b or x == v:
-            continue
-        if _pair_crossing(sign, a, b, v, x):
-            after += 1
-    D._flip_inplace(t)
-    return after - before
+    return 3 * (n - 1) - 2 * (L[a * n + b] + L[b * n + c] + L[c * n + a])
+
+
+def _left_update(n, L, a, b, c):
+    """Update L for the counterclockwise triangle abc turning clockwise."""
+    for x, y in ((a, b), (b, c), (c, a)):
+        L[x * n + y] -= 1
+        L[y * n + x] += 1
 
 
 def _ray_step(pts, others, cur, d):
@@ -243,11 +247,14 @@ def cell_walk(S, v, budget, mode="random", progress=None, on_state=None):
     """Walk vertex v through the cells of the arrangement of the other points.
 
     Every step crosses exactly one line of the arrangement spanned by pairs
-    of the fixed points, flipping exactly one triple orientation; the
-    crossing count is maintained incrementally from that flip.  Positions are
-    exact rationals; the best position visited is re-integerized by clearing
-    denominators before returning.  ``mode`` is "random" (take the sampled
-    direction) or "greedy" (sample several directions, take the best step).
+    of the fixed points, flipping exactly one triple orientation, which one
+    ``orient`` on the current point reads.  The crossing count starts from
+    ``geometry.left_table`` of the n sweeps and changes by the O(1)
+    left-count delta of that flip, exact because every step is a geometric
+    move.  Positions are exact rationals; the best position visited is
+    re-integerized by clearing denominators before returning.  ``mode`` is
+    "random" (take the sampled direction) or "greedy" (sample several
+    directions, take the best step).
     ``on_state`` receives (state, count) after each step, for replay and
     verification.
     """
@@ -261,8 +268,8 @@ def cell_walk(S, v, budget, mode="random", progress=None, on_state=None):
     rng = random.Random(budget.rng_seed)
     pts = [tuple(p) for p in S]
     others = [u for u in range(n) if u != v]
-    D = signature_of(S)
-    cr = count_crossings(S)
+    L = left_table(n, (sweep_around(pts, x) for x in range(n)))[0]
+    cr = _left_count(n, L)
     state = CellWalkState(v, (Fraction(pts[v][0]), Fraction(pts[v][1])))
     start_pos = state.current_point
     best_pos, best_cr = start_pos, cr
@@ -278,9 +285,11 @@ def cell_walk(S, v, budget, mode="random", progress=None, on_state=None):
                     continue
                 hit = _ray_step(pts, others, state.current_point, (dx, dy))
                 if hit is not None:
-                    found.append((_flip_delta(D, hit[0], hit[1], v), len(found), hit))
-        delta, _, (a, b, pos) = min(found)
-        D._flip_inplace(tuple(sorted((a, b, v))))
+                    a, b, pos = hit
+                    tri = (a, b, v) if orient(pts[a], pts[b], state.current_point) > 0 else (b, a, v)
+                    found.append((_left_delta(n, L, *tri), len(found), tri, pos))
+        delta, _, tri, pos = min(found)
+        _left_update(n, L, *tri)
         cr += delta
         state.current_point = pos
         state.step_count += 1
@@ -304,24 +313,35 @@ def cell_walk(S, v, budget, mode="random", progress=None, on_state=None):
 def sig_flip_search(D, budget, progress=None):
     """Flip random triple orientations, keeping realizable non-worsening flips.
 
-    Each step flips one uniformly random triple; the flip is kept when the
+    Each step picks one uniformly random triple; its flip is kept when the
     new crossing count does not exceed the current one and the flipped
-    signature is still realizable, otherwise it is reverted.  The input must
-    be realizable; the result then is as well.
+    signature is still realizable (``realizable_after_flip``).  The count
+    starts from ``geometry.left_table`` of the n rotations, and a flip
+    changes it by an O(1) left-count delta; the table changes in six
+    entries per kept flip.  The delta is exact whenever the flip keeps the
+    signature realizable, and only such flips are kept, so every decision
+    equals the one a recount would give.  The input must be realizable,
+    checked once by ``is_realizable`` (ValueError otherwise); the result
+    then is as well.
     """
+    if not is_realizable(D):
+        raise ValueError("signature is not realizable")
     cur = D.copy()
     n = cur.n
     rng = random.Random(budget.rng_seed)
-    cr = count_crossings_sig(cur)
+    L = left_table(n, (_rotation_windows(cur, v) for v in range(n)))[0]
+    cr = _left_count(n, L)
     best_cr = cr
     steps = 0
     start = time.monotonic()
     while not budget.exhausted(steps, start):
         i, j, k = sorted(rng.sample(range(n), 3))
-        delta = _flip_delta(cur, i, j, k)
+        tri = (i, j, k) if cur.sign(i, j, k) > 0 else (i, k, j)
+        delta = _left_delta(n, L, *tri)
         steps += 1
         if delta <= 0 and realizable_after_flip(cur, (i, j, k)):
             cur._flip_inplace((i, j, k))
+            _left_update(n, L, *tri)
             cr += delta
             best_cr = min(best_cr, cr)
         if progress is not None:
@@ -329,48 +349,60 @@ def sig_flip_search(D, budget, progress=None):
     return cur
 
 
-def _involvements(drawing, want_triples):
-    """Crossing count plus per-vertex/pair(/triple) crossing involvements.
+def _pair_tables(n, rows):
+    """Crossing count and the crossings through each vertex and pair.
 
-    A crossing "involves" a subset when all of the subset's vertices are
-    among the crossing's four endpoints, so the count after removing a small
-    subset follows by inclusion-exclusion over these tables.  Point sets are
-    read through their signature.
+    rows are triple_crossings' (a, b, row) triples.  A crossing through a
+    and b has two more endpoints, so inv2[a * n + b] (a < b; the entries on
+    and below the diagonal stay 0) is half the sum over the triples through
+    a and b; a crossing through a has three more, so inv[a] is a third of
+    the sum of a's pair entries; every crossing has four endpoints, so
+    cr = sum(inv) / 4.  Returns (cr, inv, inv2), inv2 a flat n * n table
+    (``geometry._int_table``).
     """
-    D = drawing if isinstance(drawing, Signature) else signature_of(drawing)
-    n, sign, cr = D.n, D.sign, count_crossings_sig(D)
+    inv2 = _int_table(n)
+    for a, b, row in rows:
+        an, bn = a * n, b * n
+        inv2[an + b] += sum(row)
+        for c, t in enumerate(row, b + 1):
+            inv2[an + c] += t
+            inv2[bn + c] += t
     inv = [0] * n
-    inv2 = {}
-    inv3 = {}
-    for quad in combinations(range(n), 4):
-        if _pair_crossing(sign, *quad):
-            for x in quad:
-                inv[x] += 1
-            for pair in combinations(quad, 2):
-                inv2[pair] = inv2.get(pair, 0) + 1
-            if want_triples:
-                for tri in combinations(quad, 3):
-                    inv3[tri] = inv3.get(tri, 0) + 1
-    return cr, inv, inv2, inv3
+    for a, b in combinations(range(n), 2):
+        x = inv2[a * n + b] // 2
+        inv2[a * n + b] = x
+        inv[a] += x
+        inv[b] += x
+    inv = [x // 3 for x in inv]
+    return sum(inv) // 4, inv, inv2
 
 
 def _best_removal_tuple(drawing, k):
-    """The size-k vertex subset whose removal leaves the fewest crossings.
+    """The size-k vertex subset whose removal leaves the fewest crossings, k = 2 or 3.
 
-    Exhaustive over all subsets, each scored in O(1) from the amortized
-    involvement tables; ties break toward the lexicographically least subset.
+    Every subset is scored in O(1) by inclusion-exclusion over the crossings
+    through its vertices, pairs and triple, which triple_crossings reads off
+    left_table of the n rotation sweeps: O(n^3) in all.  Ties break toward
+    the lexicographically least subset.  A signature must be realizable.
     """
-    cr, inv, inv2, inv3 = _involvements(drawing, k == 3)
     n = drawing.n
-    best, best_cr = None, None
-    for sub in combinations(range(n), k):
-        c = cr - sum(inv[x] for x in sub)
-        c += sum(inv2.get(pair, 0) for pair in combinations(sub, 2))
-        if k == 3:
-            c -= inv3.get(sub, 0)
-        if best_cr is None or c < best_cr:
-            best, best_cr = sub, c
-    return best
+    sweep = _rotation_windows if isinstance(drawing, Signature) else sweep_around
+    rows = triple_crossings(n, *left_table(n, (sweep(drawing, v) for v in range(n))))
+    if k == 3:
+        rows = list(rows)  # read twice: for the pair tables, then to score
+    cr, inv, inv2 = _pair_tables(n, rows)
+    if k == 2:
+        pairs = combinations(range(n), 2)
+        return min((cr - inv[a] - inv[b] + inv2[a * n + b], (a, b)) for a, b in pairs)[1]
+    best = None
+    for a, b, row in rows:
+        base = cr - inv[a] - inv[b] + inv2[a * n + b]
+        an, bn = a * n, b * n
+        for c, t in enumerate(row, b + 1):
+            score = base - inv[c] + inv2[an + c] + inv2[bn + c] - t
+            if best is None or score < best[0]:
+                best = (score, (a, b, c))
+    return best[1]
 
 
 def shrink(drawing, target_n, tuple_size=1, emit=None):
@@ -379,9 +411,14 @@ def shrink(drawing, target_n, tuple_size=1, emit=None):
     At each step the size-``tuple_size`` subset minimizing the remaining
     crossing count is removed (lexicographically least among ties, truncated
     on the final step when the remaining descent is smaller).  Size 1 uses
-    removal values directly; sizes 2 and 3 evaluate every subset via
-    amortized involvement tables.  Works on point sets and signatures alike;
-    every intermediate drawing is passed to ``emit`` when given.
+    removal values directly, O(n^2 log n) per step; sizes 2 and 3 score
+    every subset from the crossings through each vertex, pair and triple,
+    read off the n rotation sweeps in O(n^3) per step
+    (``geometry.triple_crossings``).  Works on point sets and realizable
+    signatures alike: a signature is checked once, since deleting vertices
+    keeps it realizable, and a non-realizable one raises ValueError before
+    the first step.  Every intermediate drawing is passed to ``emit`` when
+    given.
     """
     if tuple_size not in (1, 2, 3):
         raise ValueError("tuple_size must be 1, 2 or 3")
@@ -391,6 +428,8 @@ def shrink(drawing, target_n, tuple_size=1, emit=None):
     cur = drawing
     if cur.n <= target_n:
         raise ValueError("drawing already has at most target_n vertices")
+    if is_sig and not is_realizable(cur):
+        raise ValueError("signature is not realizable")
     while cur.n > target_n:
         k = min(tuple_size, cur.n - target_n)
         if k == 1:

@@ -261,7 +261,9 @@ def count_crossings_sig(D):
 
     Sums, per vertex, the triples whose interior misses it, via window
     counts in the rotation; same inclusion-exclusion as the point-set
-    counter.
+    counter.  D must be realizable (``is_realizable``): the rotations and
+    windows mean nothing otherwise, and the result need not match
+    ``count_crossings_sig_brute``; no check is made here.
     """
     n = D.n
     if n < 4:
@@ -274,7 +276,10 @@ def count_crossings_sig(D):
 
 
 def removal_values_sig(D):
-    """cr(D minus v) for every vertex v, from one pass of rotation sweeps."""
+    """cr(D minus v) for every vertex v, from one pass of rotation sweeps.
+
+    D must be realizable, as for count_crossings_sig; no check is made here.
+    """
     n = D.n
     if n < 4:
         raise ValueError("need at least 4 vertices")

@@ -6,6 +6,7 @@ mismatches, 3 I/O and parse errors (including usage errors).
 
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -15,6 +16,7 @@ import pytest
 from crossnum.geometry import PointSet, count_crossings
 from crossnum.io import parse_points, parse_signature_text, save_points, save_signature
 from crossnum.signatures import (
+    Signature,
     convex_signature,
     count_crossings_sig,
     flip,
@@ -142,6 +144,23 @@ def test_optimize(work):
         "--steps", "5", "--vertex", "99",
     )
     assert r.returncode == 1
+
+
+def test_nonrealizable_signature_is_a_domain_error(work):
+    # A seeded random 7-vertex signature that is not realizable (the one in
+    # tests/test_heuristics.py), with its padding bits cleared as the file
+    # format requires: shrink and flip search refuse it before any step.
+    rng = random.Random(0)
+    bits = bytearray(rng.getrandbits(8) for _ in range(5))
+    bits[-1] &= 0x07  # 35 sign bits
+    D = Signature(7, bytes(bits))
+    assert not is_realizable(D)
+    save_signature(D, work / "bad7.sig")
+    for tup in ("1", "2"):
+        r = run("shrink", str(work / "bad7.sig"), "--to", "5", "--tuple", tup)
+        assert r.returncode == 1 and "not realizable" in r.stderr and r.stdout == ""
+    r = run("optimize", str(work / "bad7.sig"), "--heuristic", "flip", "--steps", "5")
+    assert r.returncode == 1 and "not realizable" in r.stderr and r.stdout == ""
 
 
 def test_verify(work):

@@ -1,35 +1,55 @@
 """Local search heuristics: exactness of incremental counts, determinism,
-monotonicity, and the greedy shrink against brute subset oracles."""
+monotonicity, and the greedy shrink against brute subset oracles.
 
+The left-count delta and the rotation tables are checked against the O(n)
+and O(n^4) 4-subset scans they replaced (_flip_delta, _involvements), kept
+here as oracles."""
+
+import hashlib
 import random
 from importlib import resources
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
 import pytest
 
+from crossnum import heuristics
+from crossnum.doubling import double_points, double_signature
 from crossnum.geometry import (
     PointSet,
     count_crossings,
     count_crossings_brute,
+    left_table,
     orient,
+    sweep_around,
+    triple_crossings,
 )
+from crossnum.halving import halving_matching, halving_matching_sig
 from crossnum.heuristics import (
     SearchBudget,
+    _left_count,
+    _left_delta,
+    _left_update,
+    _pair_tables,
     cell_walk,
     random_relocation,
     shrink,
     sig_flip_search,
 )
 from crossnum.signatures import (
+    Signature,
+    _pair_crossing,
+    _rotation_windows,
     convex_signature,
     count_crossings_sig,
     count_crossings_sig_brute,
     delete_vertex,
     is_realizable,
+    realizable_after_flip,
+    removal_values_sig,
     signature_of,
 )
-from crossnum.io import load_points
+from crossnum.io import format_drawing, load_points
 
 from conftest import convex_points, rand_general
 
@@ -254,3 +274,228 @@ def test_shrink_ties_errors_truncation():
     inter = []
     shrink(S8, 5, 2, emit=inter.append)
     assert [x.n for x in inter] == [6, 5]  # final step truncated to one removal
+
+
+# -- oracles: the 4-subset scans the rotation tables replaced -----------------
+
+
+def _flip_delta(D, a, b, v):
+    """Change in crossing count when the orientation of (a, b, v) flips.
+
+    Only 4-subsets containing all of a, b, v are affected, so the update
+    costs O(n) sign probes.
+    """
+    t = tuple(sorted((a, b, v)))
+    sign = D.sign
+    before = after = 0
+    for x in range(D.n):
+        if x == a or x == b or x == v:
+            continue
+        if _pair_crossing(sign, a, b, v, x):
+            before += 1
+    D._flip_inplace(t)
+    for x in range(D.n):
+        if x == a or x == b or x == v:
+            continue
+        if _pair_crossing(sign, a, b, v, x):
+            after += 1
+    D._flip_inplace(t)
+    return after - before
+
+
+def _involvements(drawing):
+    """Crossing count plus the crossings involving each vertex, pair and
+    triple, from all C(n, 4) quadruples (pairs and triples as increasing
+    dict keys, present only when some crossing involves them)."""
+    D = drawing if isinstance(drawing, Signature) else signature_of(drawing)
+    n, sign = D.n, D.sign
+    cr, inv, inv2, inv3 = 0, [0] * n, {}, {}
+    for quad in combinations(range(n), 4):
+        if _pair_crossing(sign, *quad):
+            cr += 1
+            for x in quad:
+                inv[x] += 1
+            for pair in combinations(quad, 2):
+                inv2[pair] = inv2.get(pair, 0) + 1
+            for tri in combinations(quad, 3):
+                inv3[tri] = inv3.get(tri, 0) + 1
+    return cr, inv, inv2, inv3
+
+
+def _best_removal_tuple_oracle(drawing, k):
+    """The lexicographically least size-k subset of least remaining count,
+    scored by inclusion-exclusion over the quadruple scan's tables."""
+    cr, inv, inv2, inv3 = _involvements(drawing)
+    best = None
+    for sub in combinations(range(drawing.n), k):
+        c = cr - sum(inv[x] for x in sub)
+        c += sum(inv2.get(pair, 0) for pair in combinations(sub, 2))
+        if k == 3:
+            c -= inv3.get(sub, 0)
+        if best is None or c < best[0]:
+            best = (c, sub)
+    return best[1]
+
+
+def _sweeps(drawing):
+    sweep = _rotation_windows if isinstance(drawing, Signature) else sweep_around
+    return (sweep(drawing, v) for v in range(drawing.n))
+
+
+def _k2643(n):
+    golden = load_points(str(resources.files("crossnum.data") / "k2643.txt"))
+    return PointSet(tuple(golden[:n]))
+
+
+def _ccw(D, i, j, k):
+    return (i, j, k) if D.sign(i, j, k) > 0 else (i, k, j)
+
+
+def test_left_delta_matches_flip_delta_oracle():
+    # Every triple of every realizable signature on 4 and 5 vertices whose
+    # flip keeps it realizable; the left-count identity says nothing about
+    # the others, which flip search never keeps.
+    checked = {}
+    for n in (4, 5):
+        nt = comb(n, 3)
+        checked[n] = 0
+        for bits in range(1 << nt):
+            D = Signature(n, bits.to_bytes((nt + 7) // 8, "little"))
+            if not is_realizable(D):
+                continue
+            L = left_table(n, _sweeps(D))[0]
+            assert _left_count(n, L) == count_crossings_sig_brute(D)
+            for t in combinations(range(n), 3):
+                if realizable_after_flip(D, t):
+                    assert _left_delta(n, L, *_ccw(D, *t)) == _flip_delta(D, *t)
+                    checked[n] += 1
+    assert checked == {4: 48, 5: 1200}
+    # Seeded walks through realizable signatures, n = 5..16, keeping every
+    # realizable flip and updating the table as flip search does.
+    rng = random.Random(40)
+    for trial in range(12):
+        D = signature_of(rand_general(rng, 5 + trial))
+        n = D.n
+        L = left_table(n, _sweeps(D))[0]
+        cr = count_crossings_sig(D)
+        kept = 0
+        for _ in range(60):
+            t = tuple(sorted(rng.sample(range(n), 3)))
+            if not realizable_after_flip(D, t):
+                continue
+            tri = _ccw(D, *t)
+            delta = _left_delta(n, L, *tri)
+            assert delta == _flip_delta(D, *t)
+            D._flip_inplace(t)
+            _left_update(n, L, *tri)
+            cr += delta
+            kept += 1
+        assert kept > 0 and is_realizable(D)
+        assert L == left_table(n, _sweeps(D))[0]
+        assert cr == _left_count(n, L) == count_crossings_sig_brute(D)
+
+
+def test_rotation_tables_match_involvements_oracle():
+    rng = random.Random(41)
+    drawings = [_k2643(24)]
+    for _ in range(40):
+        drawings.append(rand_general(rng, rng.randint(5, 14)))
+    for S in drawings:
+        for dr in (S, signature_of(S)):
+            n = dr.n
+            cr, inv, inv2, inv3 = _involvements(dr)
+            rows = list(triple_crossings(n, *left_table(n, _sweeps(dr))))
+            got3 = {(a, b, c): t for a, b, row in rows for c, t in enumerate(row, b + 1)}
+            assert len(got3) == comb(n, 3)
+            assert got3 == {t: inv3.get(t, 0) for t in combinations(range(n), 3)}
+            got_cr, got_inv, got2 = _pair_tables(n, rows)
+            assert (got_cr, got_inv) == (cr, inv)
+            assert got2.tolist() == [
+                inv2.get((a, b), 0) if a < b else 0 for a in range(n) for b in range(n)
+            ]
+
+
+def _chain24():
+    """The point-set doubling chain 3 -> 24 from the triangle, and the
+    signature doubled from its 12-point member."""
+    S = PointSet(((0, 0), (1, 0), (0, 1)))
+    chain = {}
+    while S.n < 24:
+        S, _ = double_points(S, halving_matching(S))
+        chain[S.n] = S
+    D = signature_of(chain[12])
+    D2, _ = double_signature(D, halving_matching_sig(D))
+    return chain[24], D2
+
+
+def test_shrink_matches_involvements_oracle(monkeypatch):
+    S24, D24 = _chain24()
+    rng = random.Random(42)
+    R = rand_general(rng, 16)
+    drawings = (S24, D24, _k2643(24), signature_of(_k2643(20)), R, signature_of(R))
+
+    def digests():
+        out = []
+        for dr in drawings:
+            for k in (2, 3):
+                steps = []
+                shrink(dr, 3, k, emit=steps.append)
+                text = "".join(format_drawing(x) for x in steps)
+                out.append(hashlib.sha256(text.encode()).hexdigest())
+        return out
+
+    fast = digests()
+    monkeypatch.setattr(heuristics, "_best_removal_tuple", _best_removal_tuple_oracle)
+    assert fast == digests()
+
+
+def test_cell_walk_table_count_matches_recount():
+    S = _k2643(24)
+    for mode in ("random", "greedy"):
+        for v, seed in ((0, 1), (7, 2), (23, 3)):
+            logged = []
+
+            def check(state, cr, logged=logged):
+                px, py = state.current_point
+                sc = lcm(px.denominator, py.denominator)
+                pts = [(x * sc, y * sc) for x, y in S]
+                pts[v] = (int(px * sc), int(py * sc))
+                assert count_crossings(PointSet(tuple(pts))) == cr
+                logged.append(cr)
+
+            cell_walk(S, v, SearchBudget(max_steps=25, rng_seed=seed), mode=mode, on_state=check)
+            assert len(logged) == 25
+
+
+def _nonrealizable7():
+    """A seeded random signature on 7 vertices that is not realizable, on
+    which the rotation counters read nonsense."""
+    rng = random.Random(0)
+    D = Signature(7, bytes(rng.getrandbits(8) for _ in range(5)))
+    assert not is_realizable(D)
+    assert (count_crossings_sig(D), count_crossings_sig_brute(D)) == (2, 17)
+    assert removal_values_sig(D) == [4, -3, -3, 3, 4, 4, -4]
+    return D
+
+
+def test_nonrealizable_signature_rejected_before_first_step(monkeypatch):
+    D = _nonrealizable7()
+    calls = []
+
+    def counted(E):
+        calls.append(E)
+        return is_realizable(E)
+
+    monkeypatch.setattr(heuristics, "is_realizable", counted)
+    steps = []
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError, match="not realizable"):
+            shrink(D, 4, k, emit=steps.append)
+    with pytest.raises(ValueError, match="not realizable"):
+        sig_flip_search(D, SearchBudget(max_steps=50), progress=lambda *a: steps.append(a))
+    assert steps == [] and len(calls) == 4
+    # a realizable signature is checked once, not once per step
+    calls.clear()
+    shrink(signature_of(_k2643(12)), 5, 2, emit=steps.append)
+    sig_flip_search(convex_signature(6), SearchBudget(max_steps=20), progress=lambda *a: steps.append(a))
+    assert len(calls) == 2 and len(steps) == 4 + 20
