@@ -112,6 +112,28 @@ class DoublingReport:
             raise ValueError("report requires output == predicted")
 
 
+def _limit_exponent(pts, dirs, lam0):
+    """The smallest k from which every orientation of both copies of one
+    vertex with a copy of another is at its limit as lam = lam0 * 2**k grows.
+
+    That orientation is -2*(lam*A' + s*X) with s = +-1 (see double_points),
+    at its limit exactly when lam*|A'| > |X|, that is from
+    k = (|X| // (lam0*|A'|)).bit_length() on.  Raises VerificationError when
+    A' = X = 0 for some pair, whose copies are then collinear at every scale.
+    """
+    k = 0
+    for a, ((pax, pay), (vax, vay)) in enumerate(zip(pts, dirs)):
+        c = vax * pay - vay * pax
+        for x, ((pxx, pxy), (vxx, vxy)) in enumerate(zip(pts, dirs)):
+            A = vax * pxy - vay * pxx - c
+            X = vax * vxy - vay * vxx
+            if A:
+                k = max(k, (abs(X) // (lam0 * abs(A))).bit_length())
+            elif not X and a != x:
+                raise VerificationError("doubled set is degenerate at every scale")
+    return k
+
+
 def double_points(S, M):
     """The doubled point set of S under halving matching M, verified.
 
@@ -126,37 +148,46 @@ def double_points(S, M):
     V = max|v|_inf, three doubled points from distinct originals a, b, c
     have orientation lam^2*A + lam*B + C, where A = orient(p_a, p_b, p_c) is
     a nonzero integer (S is in general position), |B| <= 16PV and
-    |C| <= 8V^2.  Both copies of a with a copy of x have orientation
-    -2*(lam*A' + C'), where A' = orient(p_a, p_a + v_a, p_x) and
-    |C'| <= 2V^2; A' is a nonzero integer unless p_x lies on a's line, and
-    then the sign does not depend on lam at all.  Copies of distinct
-    originals coincide only if lam*|p_a - p_b| <= 2V.  So from
-    L = 16PV + 8V^2 + 1 on, every orientation sign, and with them the
-    crossing count and general position, equals its limit as lam grows.
+    |C| <= 8V^2.  Both copies of a with the copy x_s = lam*p_x + s*v_x
+    (s = +-1) of x have orientation -2*(lam*A' + s*X), where
+    A' = orient(p_a, p_a + v_a, p_x) and X = cross(v_a, v_x), |X| <= 2V^2;
+    A' is a nonzero integer unless p_x lies on a's line, and then the sign
+    does not depend on lam at all (if X = 0 too, the three copies are
+    collinear at every scale and VerificationError is raised before any
+    count).  Copies of distinct originals coincide only if
+    lam*|p_a - p_b| <= 2V.  So from L = 16PV + 8V^2 + 1 on, every
+    orientation sign, and with them the crossing count and general position,
+    equals its limit as lam grows.
 
-    The search gallops over k = 0, 1, 3, 7, 15, ..., clamped to the first k
-    with lam0 * 2**k >= L.  If that stable scale fails, every larger one
-    fails the same way and VerificationError is raised at once.  Otherwise
-    it bisects between the last failing and the first passing k, returning
-    the smallest passing k whenever passing is monotone in k between them.
+    The search starts from a guess: the smallest k with lam*|A'| > |X| for
+    every ordered pair with A' != 0, so that every such pair sign is at its
+    limit (``_limit_exponent``, one O(n^2) pass over the input), clamped
+    to k_stable, the first k with lam0 * 2**k >= L.  A passing guess is
+    checked against guess - 1: if that fails, the guess is returned, and if
+    it passes, the search bisects below it.  A failing guess starts a gallop
+    over guess + 1, + 3, + 7, ..., clamped to k_stable; if k_stable fails,
+    every larger scale fails the same way and VerificationError is raised at
+    once, and otherwise the search bisects between the last failing and the
+    first passing k.  Either way it returns the smallest passing k whenever
+    passing is monotone in k.
     """
     pts = _points(S)
     n = len(pts)
     if not isinstance(M, HalvingMatching) or set(M.assignments) != set(range(n)):
         raise ValueError("matching does not cover the point set")
-    base = count_crossings(S)
-    predicted = predicted_double("rect", n, base)
     dirs = []
     for v in range(n):
         dx, dy = M.assignments[v].direction
         dirs.append((int(dx), int(dy)))
     vmax = max(max(abs(dx), abs(dy)) for dx, dy in dirs)
-    if vmax == 0:
-        raise VerificationError("doubled set is degenerate at every scale")
-    pmax = max(max(abs(px), abs(py)) for px, py in pts)
     lam0 = 4 * n * vmax
+    guess = _limit_exponent(pts, dirs, lam0)  # raises if some v is 0, so lam0 > 0
+    pmax = max(max(abs(px), abs(py)) for px, py in pts)
     stable = 16 * pmax * vmax + 8 * vmax * vmax + 1
     k_stable = (-(-stable // lam0) - 1).bit_length()
+    guess = k = min(guess, k_stable)
+    base = count_crossings(S)
+    predicted = predicted_double("rect", n, base)
 
     def probe(k):
         lam = lam0 << k
@@ -171,12 +202,9 @@ def double_points(S, M):
             return S2, None
 
     retries = 0
-    failed, k = -1, 0
-    while True:
-        k = min(k, k_stable)
-        found, c2 = probe(k)
-        if c2 == predicted:
-            break
+    failed = -1
+    found, c2 = probe(k)
+    while c2 != predicted:
         retries += 1
         if k == k_stable:
             if c2 is None:
@@ -185,9 +213,11 @@ def double_points(S, M):
                 f"doubled set has {c2} crossings at every scale from "
                 f"lam = {lam0 << k}, predicted {predicted} (excess {c2 - predicted})"
             )
-        failed, k = k, 2 * k + 1
+        failed, k = k, min(2 * k - guess + 1, k_stable)
+        found, c2 = probe(k)
     while k - failed > 1:
-        mid = (failed + k) // 2
+        # a passing guess is checked against the one below it first
+        mid = k - 1 if k == guess else (failed + k) // 2
         S2, c2 = probe(mid)
         if c2 == predicted:
             found, k = S2, mid

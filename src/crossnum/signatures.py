@@ -9,7 +9,7 @@ the packed signs directly, so signatures of a few thousand vertices stay
 cheap to copy and mutate.
 
 Signs are stored one bit per lexicographically ranked triple (1 means +),
-LSB first inside each byte.
+LSB first inside each byte; the padding bits of the last byte are always 0.
 
 Realizability is decided by a hull vertex plus the signotope axiom on
 4-subsets (``is_realizable``); whether one flip keeps a realizable signature
@@ -59,6 +59,7 @@ class Signature:
             if len(bits) != nb:
                 raise ValueError(f"expected {nb} sign bytes, got {len(bits)}")
             self._bits = bytearray(bits)
+            self._bits[-1] &= 0xFF >> (-comb(n, 3) % 8)  # clear the padding bits
         # rank(i,j,k) = arank[i] + psum[j] - psum[i+1] + (k - j - 1)
         arank = [0] * (n + 1)
         psum = [0] * (n + 1)
@@ -158,11 +159,7 @@ def convex_signature(n):
     """The signature of n points in convex position, all triples positive."""
     if n < 3:
         raise ValueError("signature needs at least 3 vertices")
-    nbits = comb(n, 3)
-    bits = bytearray(b"\xff" * ((nbits + 7) // 8))
-    if nbits & 7:
-        bits[-1] = (1 << (nbits & 7)) - 1
-    return Signature(n, bytes(bits))
+    return Signature(n, b"\xff" * ((comb(n, 3) + 7) // 8))
 
 
 def signature_of(S):

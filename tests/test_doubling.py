@@ -206,6 +206,40 @@ def test_double_points_degenerate_at_every_scale(monkeypatch):
         double_points(S, zero)
 
 
+def _chain_step(triangle_chain, n):
+    """(S, M, lam0) of the chain step n -> 2n, whose scales are lam0 << k."""
+    S, _ = triangle_chain[n]
+    M = halving_matching(S)
+    lam0 = 4 * n * max(max(map(abs, line.direction)) for line in M.assignments.values())
+    return S, M, lam0
+
+
+def test_limit_exponent_predicts_the_chain(triangle_chain, monkeypatch):
+    for n in (24, 48, 96):
+        S, M, lam0 = _chain_step(triangle_chain, n)
+        calls = _count_calls(monkeypatch)
+        _, rep = double_points(S, M)
+        monkeypatch.undo()
+        k = (rep.scale_used // lam0).bit_length() - 1
+        assert rep.scale_used == lam0 << k
+        dirs = [tuple(M.assignments[v].direction) for v in range(n)]
+        assert crossnum.doubling._limit_exponent(list(S), dirs, lam0) == k
+        # one count of the input, then the guess and the scale below it
+        assert calls[0] == n and len(calls) - 1 <= 2
+
+
+def test_double_points_search_from_a_wrong_guess(triangle_chain, monkeypatch):
+    for n in (24, 48):
+        S, M, lam0 = _chain_step(triangle_chain, n)
+        k = (triangle_chain[2 * n][1].scale_used // lam0).bit_length() - 1
+        expected = double_points_linear(S, M)
+        assert expected[1] == lam0 << k
+        for guess in (k - 3, k + 3):  # gallops up, then bisects down
+            monkeypatch.setattr(crossnum.doubling, "_limit_exponent", lambda *_, g=guess: g)
+            S2, rep = double_points(S, M)
+            assert (S2, rep.scale_used) == expected
+
+
 def test_signature_doubling_chain():
     D3 = convex_signature(3)
     D6, rep = double_signature(D3, halving_matching_sig(D3))

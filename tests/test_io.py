@@ -99,6 +99,21 @@ def test_file_round_trips_and_sniffing(tmp_path):
     assert load_drawing(tmp_path / "c") == D
 
 
+def test_signature_padding_bits_cleared(tmp_path):
+    # C(7,3) = 35 signs in 5 bytes leave 5 padding bits in the last byte
+    rng = random.Random(0)
+    raw = bytes(rng.getrandbits(8) for _ in range(5))
+    assert raw[-1] >> 3  # some padding bit is set
+    D = Signature(7, raw)
+    E = Signature(7, raw[:-1] + bytes([raw[-1] & 0x07]))
+    assert D == E and hash(D) == hash(E)
+    assert D.to_bytes()[-1] >> 3 == 0
+    save_signature(D, tmp_path / "d.sig")
+    assert load_drawing(tmp_path / "d.sig") == D
+    save_signature(D, tmp_path / "d.bsig", binary=True)
+    assert load_drawing(tmp_path / "d.bsig") == D
+
+
 def test_latex_itemize_import():
     tex = r"""
     \begin{itemize}
