@@ -20,7 +20,7 @@ from .doubling import (
     double_signature,
     normalize_kind,
 )
-from .geometry import DegenerateError, PointSet, count_crossings_brute
+from .geometry import DegenerateError, PointSet
 from .halving import halving_matching, halving_matching_sig
 from .heuristics import (
     SearchBudget,
@@ -37,8 +37,8 @@ from .io import (
     load_points,
 )
 from .pipeline import PipelineConfig, orchestrate
-from .registry import Registry, bound_for, count_drawing, verify
-from .signatures import Signature, count_crossings_sig_brute, signature_of
+from .registry import Registry, bound_for, count_drawing, count_drawing_brute, verify
+from .signatures import Signature, signature_of
 from .svg import export_svg
 
 
@@ -47,12 +47,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(3, f"{self.prog}: error: {message}\n")
-
-
-def _count_brute(drawing):
-    if isinstance(drawing, Signature):
-        return count_crossings_sig_brute(drawing)
-    return count_crossings_brute(drawing)
 
 
 def _dump(drawing):
@@ -75,7 +69,7 @@ def cmd_count(args):
     drawing = load_drawing(args.file)
     fast = count_drawing(drawing)
     if args.brute:
-        brute = _count_brute(drawing)
+        brute = count_drawing_brute(drawing)
         if brute != fast:
             raise VerificationError(f"fast count {fast} != brute count {brute}")
     print(fast)

@@ -15,7 +15,7 @@ arithmetic.
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 
@@ -190,24 +190,36 @@ def sweep_around(pts, center):
     return order, avals
 
 
+def crossings_from_windows(n, windows):
+    """Crossing count of a drawing of K_n from all of its window counts.
+
+    windows holds, in any order, the window count of every ordered pair
+    (p, q): the number of vertices in the open half turn counterclockwise
+    after q around p, which lie left of p->q; zeros may be mixed in.  A
+    4-subset is non-convex exactly when one vertex lies inside the triangle
+    of the other three, and of the C(n - 1, 3) triangles around p, all but
+    the sum over q of C(window(p, q), 2) contain p.  That gives the k-edge
+    identity cr = C(n, 4) - n * C(n - 1, 3) + the sum of C(window, 2)
+    (Lovasz, Vesztergombi, Wagner & Welzl, Convex quadrilaterals and k-sets,
+    2004; Abrego & Fernandez-Merchant, Graphs Combin. 21, 2005), for point
+    sets and realizable signatures alike.
+    """
+    return comb(n, 4) - n * comb(n - 1, 3) + sum(a * (a - 1) // 2 for a in windows)
+
+
 def count_crossings(S):
     """Exact crossing count of the straight-line K_n drawing on S.
 
-    One angular sweep per point: a 4-subset is non-convex exactly when one
-    point lies inside the triangle of the other three, and the triangles
-    containing a point p are counted from p's window counts.  O(n^2 log n).
+    The window counts of one angular sweep per point, summed by
+    crossings_from_windows.  O(n^2 log n).
     """
     pts = _points(S)
     n = len(pts)
     if n < 3:
         raise ValueError("need at least 3 points")
     scale = _key_scale(pts)
-    total_t = 0
-    base = comb(n - 1, 3)
-    for p in range(n):
-        avals = _sweep(pts, p, *scale)[1]
-        total_t += base - sum(a * (a - 1) // 2 for a in avals)
-    return comb(n, 4) - total_t
+    windows = chain.from_iterable(_sweep(pts, p, *scale)[1] for p in range(n))
+    return crossings_from_windows(n, windows)
 
 
 def count_crossings_brute(S):
@@ -291,13 +303,9 @@ def left_table(n, sweeps):
     diagonal: L[p * n + q] is avals at q around p, the number of vertices
     left of p->q, and pos[p * n + q] is q's index in p's rotation.  Then
     L[p * n + q] + L[q * n + p] = n - 2, and for a point set or a realizable
-    signature the k-edge identity (Lovasz, Vesztergombi, Wagner & Welzl,
-    Convex quadrilaterals and k-sets, 2004; Abrego & Fernandez-Merchant,
-    Graphs Combin. 21, 2005) gives the crossing count: cr = C(n, 4) -
-    n * C(n - 1, 3) + the sum of C(L, 2) over all entries, the sum
-    count_crossings takes sweep by sweep.  Reversing the orientation of one
-    triple moves its third vertex across each of its three pairs, so it
-    changes six entries by one each.
+    signature crossings_from_windows(n, L) is the crossing count.  Reversing
+    the orientation of one triple moves its third vertex across each of its
+    three pairs, so it changes six entries by one each.
     """
     L = _int_table(n)
     pos = _int_table(n)
@@ -402,17 +410,17 @@ def evaluate_candidates(S, batch):
     # either of them serves both.
     pair_terms = [j * (j - 1) // 2 + (m - 1 - j) * (m - 2 - j) // 2 for j in range(m)]
     tables = []
-    base_t = 0
+    windows = []
     for v in range(m):
         _, avals, up, low = _sweep(T, v, K, axis)
-        base_t += comb(m - 1, 3) - sum(a * (a - 1) // 2 for a in avals)
+        windows += avals
         pref = _window_prefix(avals)
         ukeys = [k for k, _ in up]
         ukeys.append(top)
         lkeys = [k for k, _ in low]
         lkeys.append(top)
         tables.append((T[v][0], T[v][1], ukeys, lkeys, len(up), pref, pref[-1]))
-    base = comb(m, 4) - base_t - m * comb(m - 1, 2)
+    base = crossings_from_windows(m, windows) - m * comb(m - 1, 2)
     results = []
     for qx, qy in batch.candidates:
         total = base

@@ -17,10 +17,9 @@ pick each other, which the doubling step's crossing accounting relies on.
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cmp_to_key
 from typing import Optional
 
-from .geometry import DegenerateError, _points, orient, sweep_around
+from .geometry import DegenerateError, _key_scale, _points, _sweep, orient, sweep_around
 from .signatures import _rotation_windows, rotation
 
 
@@ -76,66 +75,43 @@ class NoMatching:
 NO_MATCHING = NoMatching()
 
 
-def _ccw_events(pts, v):
-    """All 2(n-1) direction vectors out of pts[v] -- each difference and its
-    negation -- in counterclockwise order starting from the positive x-axis.
-
-    Each entry is (vector, is_true_direction).  Coinciding directions mean
-    three collinear points and raise DegenerateError.
-    """
-    cx, cy = pts[v]
-    evs = []
-    for j, (px, py) in enumerate(pts):
-        if j == v:
-            continue
-        dx, dy = px - cx, py - cy
-        evs.append(((dx, dy), True))
-        evs.append(((-dx, -dy), False))
-
-    def before(e1, e2):
-        (x1, y1), _ = e1
-        (x2, y2), _ = e2
-        h1 = 0 if (y1 > 0 or (y1 == 0 and x1 > 0)) else 1
-        h2 = 0 if (y2 > 0 or (y2 == 0 and x2 > 0)) else 1
-        if h1 != h2:
-            return -1 if h1 < h2 else 1
-        cr = x1 * y2 - y1 * x2
-        if cr == 0:
-            raise DegenerateError("collinear points around a sweep center")
-        return -1 if cr > 0 else 1
-
-    evs.sort(key=cmp_to_key(before))
-    return evs
-
-
 def _balancing_gaps(pts, v):
-    """(representative_vector, gap_index) for each gap whose lines balance.
+    """Representative directions of the balancing gaps around pts[v], odd n,
+    counterclockwise from the positive x axis.
 
-    A gap sits between consecutive events; all lines through pts[v] within
-    one gap split the other points identically.  The representative is the
-    sum of the two bounding event vectors, strictly interior to the gap.
+    A gap lies between consecutive events: the directions from pts[v] to the
+    other points and their antipodes.  _sweep's upper and lower blocks,
+    merged by key, are the upper half turn's events in order (an upper entry
+    is a true direction, a lower one an antipode; keys never tie, since
+    _sweep raises on a tie); the lower half turn is the same list negated.  With m = n - 1, window(q) points lie left just
+    after q's true direction and m - window(q) just after its antipode.  A
+    representative is the sum of the gap's two bounding event vectors.
     """
-    n = len(pts)
-    half = (n - 1) // 2
-    evs = _ccw_events(pts, v)
-    m2 = len(evs)
+    m = len(pts) - 1
     cx, cy = pts[v]
-    (ux, uy) = (evs[0][0][0] + evs[1][0][0], evs[0][0][1] + evs[1][0][1])
-    left = 0
-    for j, (px, py) in enumerate(pts):
-        if j != v and ux * (py - cy) - uy * (px - cx) > 0:
-            left += 1
-    out = []
-    for g in range(m2):
-        if g > 0:
-            # crossing event g: a true direction leaves the left half-plane,
-            # an antipode brings its point back in
-            left += -1 if evs[g][1] else 1
-        if left == half:
-            (ax, ay), _ = evs[g]
-            (bx, by), _ = evs[(g + 1) % m2]
-            out.append(((ax + bx, ay + by), g))
-    return out
+    order, avals, up, low = _sweep(pts, v, *_key_scale(pts))
+    window = dict(zip(order, avals))
+    half = []
+    for _, q, true in sorted([(k, q, True) for k, q in up] + [(k, q, False) for k, q in low]):
+        d = (pts[q][0] - cx, pts[q][1] - cy)
+        half.append((d, window[q]) if true else ((-d[0], -d[1]), m - window[q]))
+    events = half + [((-dx, -dy), m - left) for (dx, dy), left in half]
+    reps = []
+    for g, ((ax, ay), left) in enumerate(events):
+        if 2 * left == m:
+            bx, by = events[(g + 1) % len(events)][0]
+            reps.append((ax + bx, ay + by))
+    return reps
+
+
+def _halving_pairs(n, sweeps):
+    """The sorted pairs a < b whose window, the count left of a->b, is
+    (n - 2) / 2, n even; sweeps yields each center's (order, avals)."""
+    want = (n - 2) // 2
+    pairs = []
+    for a, (order, avals) in enumerate(sweeps):
+        pairs += [(a, b) for b, w in zip(order, avals) if a < b and w == want]
+    return sorted(pairs)
 
 
 def halving_lines(S):
@@ -151,23 +127,18 @@ def halving_lines(S):
     n = len(pts)
     if n < 3:
         raise ValueError("need at least 3 points")
-    lines = []
     if n % 2 == 0:
-        want = (n - 2) // 2
-        for a in range(n):
-            order, avals = sweep_around(pts, a)
-            for pos, b in enumerate(order):
-                if a < b and avals[pos] == want:
-                    d = (pts[b][0] - pts[a][0], pts[b][1] - pts[a][1])
-                    lines.append(HalvingLine(a, b, d))
-        lines.sort(key=lambda hl: (hl.anchor, hl.partner))
-        return lines
-    for v in range(n):
-        for rep, _g in _balancing_gaps(pts, v):
-            dx, dy = rep
-            if dy > 0 or (dy == 0 and dx > 0):
-                lines.append(HalvingLine(v, None, rep))
-    return lines
+        pairs = _halving_pairs(n, (sweep_around(pts, a) for a in range(n)))
+        return [
+            HalvingLine(a, b, (pts[b][0] - pts[a][0], pts[b][1] - pts[a][1]))
+            for a, b in pairs
+        ]
+    return [
+        HalvingLine(v, None, (dx, dy))
+        for v in range(n)
+        for dx, dy in _balancing_gaps(pts, v)
+        if dy > 0 or (dy == 0 and dx > 0)
+    ]
 
 
 def halving_direction(S, v):
@@ -176,7 +147,8 @@ def halving_direction(S, v):
     Scans gaps counterclockwise from the positive x-axis and returns the
     representative of the first balancing one; the line through pts[v] with
     this direction has (n-1)/2 points strictly on each side and passes
-    through no other point.
+    through no other point.  One always exists: turning the line by a half
+    turn swaps its sides, and each event moves one point across.
     """
     pts = _points(S)
     n = len(pts)
@@ -184,10 +156,9 @@ def halving_direction(S, v):
         raise ValueError("halving_direction needs odd n")
     if n < 3:
         raise ValueError("need at least 3 points")
-    gaps = _balancing_gaps(pts, v)
-    if not gaps:
-        raise DegenerateError(f"no balancing gap around vertex {v}")
-    return gaps[0][0]
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} out of range")
+    return _balancing_gaps(pts, v)[0]
 
 
 def _max_line_matching(n, pairs):
@@ -330,20 +301,13 @@ def halving_matching_sig(D):
             )
         return HalvingMatching(assignments)
     want = (n - 2) // 2
-    rots = []
-    pairs = set()
-    for v in range(n):
-        rot, av = _rotation_windows(D, v)
-        rots.append(rot)
-        for p in range(m):
-            if av[p] == want:
-                pairs.add((min(v, rot[p]), max(v, rot[p])))
-    partner = _max_line_matching(n, sorted(pairs))
+    sweeps = [_rotation_windows(D, v) for v in range(n)]
+    partner = _max_line_matching(n, _halving_pairs(n, sweeps))
     if partner is None:
         return NO_MATCHING
     assignments = {}
     for v, w in enumerate(partner):
-        g = (rots[v].index(w) + 1) % m
+        g = (sweeps[v][0].index(w) + 1) % m
         assignments[v] = HalvingLine(
             v, w, (RotationSlot(v, g), RotationSlot(v, (g + want) % m))
         )

@@ -8,16 +8,17 @@ monotone non-increasing over every run.
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, floor, inf, lcm
+from math import floor, inf, lcm
 
 from .geometry import (
     CandidateBatch,
     PointSet,
     _int_table,
     count_crossings,
+    crossings_from_windows,
     evaluate_candidates,
     left_table,
     orient,
@@ -60,32 +61,6 @@ class SearchBudget:
 
 
 @dataclass
-class NeighborhoodState:
-    """Shrinking sampling neighborhood for random relocation.
-
-    ``radius`` is a scale relative to the point set's bounding-box diagonal;
-    candidates are drawn from the axis-aligned square of side
-    2 * radius * diagonal around the vertex being moved.  After
-    ``stall_threshold`` consecutive steps without a strict improvement the
-    radius is multiplied by ``shrink_factor`` (None means 50 * n steps).
-    """
-
-    radius: Fraction = field(default_factory=lambda: Fraction(1))
-    shrink_factor: Fraction = field(default_factory=lambda: Fraction(1, 2))
-    stall_threshold: int | None = None
-
-    def __post_init__(self):
-        self.radius = Fraction(self.radius)
-        self.shrink_factor = Fraction(self.shrink_factor)
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if not 0 < self.shrink_factor < 1:
-            raise ValueError("shrink_factor must lie strictly between 0 and 1")
-        if self.stall_threshold is not None and self.stall_threshold < 1:
-            raise ValueError("stall_threshold must be at least 1")
-
-
-@dataclass
 class CellWalkState:
     """Position of the moving vertex inside the arrangement of the others.
 
@@ -98,27 +73,26 @@ class CellWalkState:
     step_count: int = 0
 
 
-def random_relocation(S, budget, nbhd=None, progress=None):
+def random_relocation(S, budget, progress=None):
     """Iteratively relocate random vertices to sampled nearby positions.
 
     Each step picks a vertex uniformly at random, samples n integer candidate
-    positions uniformly from the current neighborhood square, and accepts the
-    best candidate whenever its crossing count does not exceed the current
-    one (ties among candidates break toward the lowest index).  Candidates
-    that break general position are skipped.  Returns the best set found.
+    positions uniformly from the square of half-side ``half`` around it, and
+    accepts the best candidate whenever its crossing count does not exceed
+    the current one (ties among candidates break toward the lowest index).
+    Candidates that break general position are skipped.  ``half`` halves
+    after 50 * n steps in a row without a strict improvement.  Returns the
+    best set found.
     """
     n = S.n
     if n < 4:
         return S
-    if nbhd is None:
-        nbhd = NeighborhoodState()
     rng = random.Random(budget.rng_seed)
-    radius = nbhd.radius
-    stall_limit = nbhd.stall_threshold or 50 * n
     xs = [p[0] for p in S]
     ys = [p[1] for p in S]
-    # Integer proxy for the bounding-box diagonal (within a factor sqrt(2)).
-    diag = (max(xs) - min(xs)) + (max(ys) - min(ys)) or 1
+    # Starts at an integer proxy for the bounding-box diagonal (within a
+    # factor sqrt(2)).
+    half = (max(xs) - min(xs)) + (max(ys) - min(ys)) or 1
 
     cur, cur_cr = S, count_crossings(S)
     best, best_cr = cur, cur_cr
@@ -127,7 +101,6 @@ def random_relocation(S, budget, nbhd=None, progress=None):
     start = time.monotonic()
     while not budget.exhausted(steps, start):
         p = rng.randrange(n)
-        half = max(1, int(radius * diag))
         px, py = cur[p]
         cands = tuple(
             (px + rng.randint(-half, half), py + rng.randint(-half, half))
@@ -149,17 +122,12 @@ def random_relocation(S, budget, nbhd=None, progress=None):
             stall = 0
         else:
             stall += 1
-            if stall >= stall_limit:
-                radius *= nbhd.shrink_factor
+            if stall >= 50 * n:
+                half = max(1, half // 2)
                 stall = 0
         if progress is not None:
             progress(steps, cur_cr, best_cr)
     return best
-
-
-def _left_count(n, L):
-    """Crossing count from a left_table's L, by the k-edge identity."""
-    return comb(n, 4) - n * comb(n - 1, 3) + sum(x * (x - 1) // 2 for x in L)
 
 
 def _left_delta(n, L, a, b, c):
@@ -269,7 +237,7 @@ def cell_walk(S, v, budget, mode="random", progress=None, on_state=None):
     pts = [tuple(p) for p in S]
     others = [u for u in range(n) if u != v]
     L = left_table(n, (sweep_around(pts, x) for x in range(n)))[0]
-    cr = _left_count(n, L)
+    cr = crossings_from_windows(n, L)
     state = CellWalkState(v, (Fraction(pts[v][0]), Fraction(pts[v][1])))
     start_pos = state.current_point
     best_pos, best_cr = start_pos, cr
@@ -330,7 +298,7 @@ def sig_flip_search(D, budget, progress=None):
     n = cur.n
     rng = random.Random(budget.rng_seed)
     L = left_table(n, (_rotation_windows(cur, v) for v in range(n)))[0]
-    cr = _left_count(n, L)
+    cr = crossings_from_windows(n, L)
     best_cr = cr
     steps = 0
     start = time.monotonic()

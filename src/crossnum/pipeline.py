@@ -30,17 +30,30 @@ _DEFAULT_BUDGETS = {"relocate": 300, "cellwalk": 60, "flip": 300}
 _DEFAULT_MAX_N = {"rect": 192, "pseudo": 28}
 
 
+def _over_defaults(name, given, defaults):
+    """The defaults updated with given; ValueError when given names a key the
+    defaults lack or holds a negative value.  name labels the errors."""
+    unknown = set(given) - set(defaults)
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    if any(v < 0 for v in given.values()):
+        raise ValueError(f"{name} values must be non-negative")
+    return {**defaults, **given}
+
+
 @dataclass
 class PipelineConfig:
     """Knobs of one orchestrate run; mirrors the JSON config file exactly.
 
     ``worker_count`` is the number of seeded search lanes per record and
     cycle; the lanes run one after another in the calling thread.
+    ``heuristic_budgets`` and ``max_n`` override the defaults only for the
+    keys they name.
     """
 
     kinds: tuple = ("rect", "pseudo")
     top_k: int = 3
-    heuristic_budgets: dict = field(default_factory=lambda: dict(_DEFAULT_BUDGETS))
+    heuristic_budgets: dict = field(default_factory=dict)
     limited_budget: int = 100
     stall_window: float = 600.0
     shrink_target: int = 3
@@ -49,7 +62,7 @@ class PipelineConfig:
     registry_path: str = "registry"
     seed: int = 0
     run_time: float = 300.0
-    max_n: dict = field(default_factory=lambda: dict(_DEFAULT_MAX_N))
+    max_n: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.kinds = tuple(self.kinds)
@@ -58,11 +71,10 @@ class PipelineConfig:
             raise ValueError("kinds must be a non-empty subset of rect/pseudo")
         if self.top_k < 1:
             raise ValueError("top_k must be at least 1")
-        for name, steps in self.heuristic_budgets.items():
-            if name not in _DEFAULT_BUDGETS:
-                raise ValueError(f"unknown heuristic {name!r}")
-            if steps < 0:
-                raise ValueError("heuristic budgets must be non-negative")
+        self.heuristic_budgets = _over_defaults(
+            "heuristic_budgets", self.heuristic_budgets, _DEFAULT_BUDGETS
+        )
+        self.max_n = _over_defaults("max_n", self.max_n, _DEFAULT_MAX_N)
         if self.limited_budget < 0 or self.stall_window <= 0 or self.run_time <= 0:
             raise ValueError("budgets and windows must be positive")
         if self.shrink_target < 3:
@@ -71,9 +83,6 @@ class PipelineConfig:
             raise ValueError("shrink tuple sizes must be 1, 2 or 3")
         if self.worker_count < 1:
             raise ValueError("worker_count must be at least 1")
-        for k in ("rect", "pseudo"):
-            if k not in self.max_n:
-                raise ValueError(f"max_n must cap {k}")
 
     @classmethod
     def from_dict(cls, data):

@@ -71,6 +71,13 @@ def count_drawing(drawing):
     return count_crossings(drawing)
 
 
+def count_drawing_brute(drawing):
+    """Crossing count of a point set or a signature, by the brute-force oracle of its kind."""
+    if isinstance(drawing, Signature):
+        return count_crossings_sig_brute(drawing)
+    return count_crossings_brute(drawing)
+
+
 def _certify(drawing, kind):
     """(n, crossings) of a drawing that certifies the kind.
 
@@ -113,10 +120,7 @@ def verify(path, kind, brute_limit=12):
         "realizable": True,
     }
     if n <= brute_limit:
-        if isinstance(drawing, Signature):
-            brute = count_crossings_sig_brute(drawing)
-        else:
-            brute = count_crossings_brute(drawing)
+        brute = count_drawing_brute(drawing)
         report["brute_crossings"] = brute
         if brute != crossings:
             raise VerificationError(

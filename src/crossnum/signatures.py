@@ -18,29 +18,13 @@ realizable is decided from three signs per other vertex
 extreme vertex; the SVG wiring diagram starts its sweep from it too.
 """
 
-from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 from .geometry import DegenerateError, orient, _points
+from .geometry import crossings_from_windows as _crossings_from_windows
 from .geometry import crossings_involving as _crossings_involving
-
-
-@dataclass(frozen=True)
-class TripleId:
-    """A vertex triple in canonical increasing order."""
-
-    i: int
-    j: int
-    k: int
-
-    def __post_init__(self):
-        if not 0 <= self.i < self.j < self.k:
-            raise ValueError(f"triple must be increasing, got {(self.i, self.j, self.k)}")
-
-    def __iter__(self):
-        return iter((self.i, self.j, self.k))
 
 
 class Signature:
@@ -256,20 +240,14 @@ def _rotation_windows(D, v):
 def count_crossings_sig(D):
     """Crossing count of a realizable signature in O(n^2 log n).
 
-    Sums, per vertex, the triples whose interior misses it, via window
-    counts in the rotation; same inclusion-exclusion as the point-set
-    counter.  D must be realizable (``is_realizable``): the rotations and
-    windows mean nothing otherwise, and the result need not match
-    ``count_crossings_sig_brute``; no check is made here.
+    The window counts of the n rotations, summed by the point-set counter's
+    formula (``geometry.crossings_from_windows``).  D must be realizable
+    (``is_realizable``): the rotations and windows mean nothing otherwise,
+    and the result need not match ``count_crossings_sig_brute``; no check is
+    made here.
     """
-    n = D.n
-    if n < 4:
-        return 0
-    total_t = 0
-    for v in range(n):
-        _, avals = _rotation_windows(D, v)
-        total_t += comb(n - 1, 3) - sum(a * (a - 1) // 2 for a in avals)
-    return comb(n, 4) - total_t
+    windows = chain.from_iterable(_rotation_windows(D, v)[1] for v in range(D.n))
+    return _crossings_from_windows(D.n, windows)
 
 
 def removal_values_sig(D):

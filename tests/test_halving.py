@@ -4,6 +4,8 @@ import math
 import random
 from itertools import combinations
 
+import pytest
+
 from crossnum.geometry import PointSet, orient
 from crossnum.halving import (
     NO_MATCHING,
@@ -37,20 +39,26 @@ def brute_even_lines(S):
 
 
 def float_gap_classes(S, v):
-    """Independent count of halving direction classes at an odd-n vertex."""
+    """Independent list of the balancing gaps at an odd-n vertex.
+
+    Returns, per balancing gap in counterclockwise order from the positive
+    x axis, the integer sum of its two bounding event vectors; every
+    direction class spans two antipodal gaps.  Coordinates are at most 60,
+    so ordering the events by atan2 is exact.
+    """
     c = S[v]
     evs = []
     for j, p in enumerate(S):
         if j == v:
             continue
         d = (p[0] - c[0], p[1] - c[1])
-        evs.append(math.atan2(d[1], d[0]) % (2 * math.pi))
-        evs.append(math.atan2(-d[1], -d[0]) % (2 * math.pi))
+        for e in (d, (-d[0], -d[1])):
+            evs.append((math.atan2(e[1], e[0]) % (2 * math.pi), e))
     evs.sort()
-    cnt = 0
+    reps = []
     for g in range(len(evs)):
-        a1 = evs[g]
-        a2 = evs[(g + 1) % len(evs)]
+        a1, e1 = evs[g]
+        a2, e2 = evs[(g + 1) % len(evs)]
         mid = (a1 + (a2 if a2 > a1 else a2 + 2 * math.pi)) / 2
         u = (math.cos(mid), math.sin(mid))
         left = sum(
@@ -59,9 +67,9 @@ def float_gap_classes(S, v):
             if j != v and u[0] * (p[1] - c[1]) - u[1] * (p[0] - c[0]) > 0
         )
         if left == (S.n - 1) // 2:
-            cnt += 1
-    assert cnt % 2 == 0
-    return cnt // 2
+            reps.append((e1[0] + e2[0], e1[1] + e2[1]))
+    assert len(reps) % 2 == 0
+    return reps
 
 
 def test_even_lines_match_brute():
@@ -83,9 +91,14 @@ def test_odd_lines_verified_and_class_counts():
         for hl in lines:
             assert hl.partner is None
             assert check_halving_line(S, hl)
-            per_v[hl.anchor] = per_v.get(hl.anchor, 0) + 1
+            per_v.setdefault(hl.anchor, []).append(hl.direction)
         for v in range(S.n):
-            assert per_v.get(v, 0) == float_gap_classes(S, v)
+            reps = float_gap_classes(S, v)
+            # one representative per class: the counterclockwise-first one
+            upper = [(x, y) for x, y in reps if y > 0 or (y == 0 and x > 0)]
+            assert per_v.get(v, []) == upper
+            assert len(upper) == len(reps) // 2
+            assert halving_direction(S, v) == reps[0]
 
 
 def test_small_examples():
@@ -102,6 +115,10 @@ def test_halving_direction():
         v = rng.randrange(S.n)
         hl = HalvingLine(v, None, halving_direction(S, v))
         assert check_halving_line(S, hl)
+    S = convex_points(5)
+    for v in (-1, 5):
+        with pytest.raises(ValueError, match="out of range"):
+            halving_direction(S, v)
 
 
 def test_odd_matching_always_exists():

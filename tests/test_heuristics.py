@@ -19,6 +19,7 @@ from crossnum.geometry import (
     PointSet,
     count_crossings,
     count_crossings_brute,
+    crossings_from_windows,
     left_table,
     orient,
     sweep_around,
@@ -27,7 +28,6 @@ from crossnum.geometry import (
 from crossnum.halving import halving_matching, halving_matching_sig
 from crossnum.heuristics import (
     SearchBudget,
-    _left_count,
     _left_delta,
     _left_update,
     _pair_tables,
@@ -364,7 +364,7 @@ def test_left_delta_matches_flip_delta_oracle():
             if not is_realizable(D):
                 continue
             L = left_table(n, _sweeps(D))[0]
-            assert _left_count(n, L) == count_crossings_sig_brute(D)
+            assert crossings_from_windows(n, L) == count_crossings_sig_brute(D)
             for t in combinations(range(n), 3):
                 if realizable_after_flip(D, t):
                     assert _left_delta(n, L, *_ccw(D, *t)) == _flip_delta(D, *t)
@@ -392,7 +392,7 @@ def test_left_delta_matches_flip_delta_oracle():
             kept += 1
         assert kept > 0 and is_realizable(D)
         assert L == left_table(n, _sweeps(D))[0]
-        assert cr == _left_count(n, L) == count_crossings_sig_brute(D)
+        assert cr == crossings_from_windows(n, L) == count_crossings_sig_brute(D)
 
 
 def test_rotation_tables_match_involvements_oracle():

@@ -83,6 +83,16 @@ def test_config_round_trip_and_validation(tmp_path):
     assert "bogus" in str(ei.value)
     with pytest.raises(ValueError):
         PipelineConfig(top_k=0)
+    for bad in ({"heuristic_budgets": {"walk": 5}}, {"max_n": {"rect": -1}}):
+        with pytest.raises(ValueError):
+            PipelineConfig.from_dict(bad)
+
+    # a partial dict overrides only the keys it names
+    cfg = PipelineConfig.from_dict(
+        {"heuristic_budgets": {"flip": 5}, "kinds": ["rect"], "max_n": {"pseudo": 20}}
+    )
+    assert cfg.heuristic_budgets == {"relocate": 300, "cellwalk": 60, "flip": 5}
+    assert cfg.max_n == {"rect": 192, "pseudo": 20}
 
 
 def test_run_and_resume(tmp_path):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from crossnum.geometry import DegenerateError, count_crossings, orient, removal_values, sweep_around
 from crossnum.signatures import (
     Signature,
-    TripleId,
     convex_signature,
     count_crossings_sig,
     count_crossings_sig_brute,
@@ -134,7 +133,7 @@ def test_flip_rejects_invalid_triples():
             with pytest.raises(ValueError):
                 call(t)
     assert D == convex_signature(6)
-    assert D.flip((5, 1, 3)) == D.flip(TripleId(1, 3, 5))
+    assert D.flip((5, 1, 3)) == D.flip((1, 3, 5))
 
 
 def test_sign_rejects_out_of_range_vertices():
@@ -190,7 +189,7 @@ def test_flip_changes_exactly_one_triple():
         if F.sign(*t) != D.sign(*t)
     )
     assert diff == 1
-    assert flip(D, TripleId(1, 3, 5)) == F
+    assert flip(D, (5, 3, 1)) == F
 
 
 def test_rotation_matches_geometric_sweep():
