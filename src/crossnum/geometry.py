@@ -15,7 +15,7 @@ arithmetic.
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from math import comb
 
 
@@ -98,29 +98,36 @@ def _points(S):
     return [tuple(p) for p in S]
 
 
-def _key_scale(pts):
-    """Key scale K and axis key for every direction between two of pts.
-
-    With M the larger of the x- and y-span of pts, every direction component
-    is at most M, so two distinct folded slopes differ by at least 1/M^2 and
-    flooring them scaled by K = M^2 + 1 keeps them on distinct keys.  The
-    axis key, -(M*K) - 1, lies below every such key.
-    """
+def _span(pts):
+    """The larger of the x- and y-span of pts."""
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
-    M = max(max(xs) - min(xs), max(ys) - min(ys))
-    K = M * M + 1
-    return K, -M * K - 1
+    return max(max(xs) - min(xs), max(ys) - min(ys))
 
 
-def _sweep(pts, center, K, axis):
+def _key_scale(span):
+    """Key shift s and axis key for every direction of a set of the given span.
+
+    Write b = span.bit_length(), so every direction component is below 2^b
+    in size.  Two distinct folded slopes -dx/dy then differ by at least
+    1/(dy1 * dy2) > 2^-2b, so flooring them scaled by K = 2^s with s = 2b
+    keeps them on distinct keys, and a key is one shift and one floor
+    division.  Every such key lies strictly between -2^3b and 2^3b; the
+    axis key is -2^3b.
+    """
+    bits = span.bit_length()
+    return 2 * bits, -(1 << 3 * bits)
+
+
+def _sweep(pts, center, shift, axis):
     """The sweep of sweep_around under a given key scale, plus its sorted blocks.
 
     Returns (order, avals, up, low), where up and low are the upper and lower
     half-turn blocks as sorted (key, index) lists.  A direction (dx, dy) is
-    folded into the upper half turn and keyed by (-dx)*K // dy; horizontal
-    directions get the axis key.  K and axis must come from _key_scale of a
-    set that contains pts.
+    folded into the upper half turn and keyed by (-dx << shift) // dy, so a
+    direction and its opposite share a key; horizontal directions get the
+    axis key.  shift and axis must come from _key_scale of a span at least
+    that of pts.
     """
     cx, cy = pts[center]
     up = []
@@ -129,9 +136,9 @@ def _sweep(pts, center, K, axis):
         dx = x - cx
         dy = y - cy
         if dy > 0:
-            up.append(((-dx) * K // dy, idx))
+            up.append(((-dx << shift) // dy, idx))
         elif dy < 0:
-            low.append((dx * K // (-dy), idx))
+            low.append(((dx << shift) // -dy, idx))
         elif dx > 0:
             up.append((axis, idx))
         elif dx < 0:
@@ -186,7 +193,7 @@ def sweep_around(pts, center):
     Raises DegenerateError when two directions coincide or oppose, i.e. when
     the center lies on a line through two other points or a point repeats.
     """
-    order, avals, _, _ = _sweep(pts, center, *_key_scale(pts))
+    order, avals, _, _ = _sweep(pts, center, *_key_scale(_span(pts)))
     return order, avals
 
 
@@ -217,7 +224,7 @@ def count_crossings(S):
     n = len(pts)
     if n < 3:
         raise ValueError("need at least 3 points")
-    scale = _key_scale(pts)
+    scale = _key_scale(_span(pts))
     windows = chain.from_iterable(_sweep(pts, p, *scale)[1] for p in range(n))
     return crossings_from_windows(n, windows)
 
@@ -248,45 +255,49 @@ def count_crossings_brute(S):
     return total
 
 
-def _window_prefix(avals):
-    pref = [0]
-    acc = 0
-    for a in avals:
-        acc += a
-        pref.append(acc)
-    return pref
+def _containing(m, pref, t):
+    """Triangles through one point around a center that contain the center.
+
+    pref holds the prefix sums of the center's m window counts in rotation
+    order, and t is the point's position.  With a its window, the k = m - 1 - a
+    positions cyclically before t are the points whose window contains it.
+    Of the C(m - 1, 2) triangles with the point as a vertex and two further
+    points, those that miss the center lie in an open half turn, led
+    counterclockwise by one of their vertices: C(a, 2) are led by the point
+    itself, and the window sum over that arc, minus k, by a point of the arc.
+    The rest contain the center.
+    """
+    a = pref[t + 1] - pref[t]
+    s = t + a + 1 - m
+    arcsum = pref[t] - pref[s] if s >= 0 else pref[t] + pref[m] - pref[s + m]
+    return (m - 1) * (m - 2) // 2 - a * (a - 1) // 2 - (arcsum - (m - 1 - a))
 
 
 def crossings_involving(n, sweeps):
     """Crossing count plus per-vertex crossing involvements from sweeps.
 
-    sweeps yields, for each center x in index order, its (order, avals).  For
-    each p the crossings involving p are C(n-1,3) minus the triangles
-    containing p minus, for every other sweep center x, the triangles through
-    p that contain x; the last term comes from window counts and an arc sum
-    over the positions that see p in their window.  Returns (cr, involved);
-    the involvements always satisfy sum(involved) == 4 * cr.
+    sweeps yields, for each center x in index order, its (order, avals).  The
+    crossings involving p are the 4-subsets of p and three others in convex
+    position: the triangles of three others that miss p, the sum of
+    C(window, 2) around p, minus for every other center x the triangles
+    through p that contain x (``_containing``).  The count itself comes from
+    crossings_from_windows.  Returns (cr, involved); the
+    involvements satisfy sum(involved) == 4 * cr for point sets and
+    realizable signatures.
     """
     m = n - 1
-    cmm = comb(m - 1, 2)
-    involved = [comb(m, 3)] * n
-    total_t = 0
-    for x, (order, avals) in enumerate(sweeps):
-        pref = _window_prefix(avals)
-        tot = pref[-1]
-        tx = comb(m, 3) - sum(a * (a - 1) // 2 for a in avals)
-        total_t += tx
-        involved[x] -= tx
-        for pos in range(m):
-            p = order[pos]
-            a = avals[pos]
-            ins = (pos + a + 1) % m
-            if ins <= pos:
-                arcsum = pref[pos] - pref[ins]
-            else:
-                arcsum = tot - (pref[ins] - pref[pos])
-            involved[p] -= cmm - a * (a - 1) // 2 - (arcsum - (m - 1 - a))
-    return comb(n, 4) - total_t, involved
+    involved = [0] * n
+
+    def windows():
+        # one sweep at a time, so no more than one is held
+        for x, (order, avals) in enumerate(sweeps):
+            pref = list(accumulate(avals, initial=0))
+            involved[x] += sum(a * (a - 1) // 2 for a in avals)
+            for t, p in enumerate(order):
+                involved[p] -= _containing(m, pref, t)
+            yield from avals
+
+    return crossings_from_windows(n, windows()), involved
 
 
 def _int_table(n):
@@ -365,91 +376,198 @@ def removal_values(S):
     n = len(pts)
     if n < 4:
         raise ValueError("need at least 4 points")
-    scale = _key_scale(pts)
+    scale = _key_scale(_span(pts))
     cr, involved = crossings_involving(n, (_sweep(pts, x, *scale)[:2] for x in range(n)))
     return [cr - involved[p] for p in range(n)]
+
+
+def _arc_add(w, t, k, d):
+    """A copy of w with d added to the k entries cyclically before position t."""
+    s = t - k
+    if s >= 0:
+        return w[:s] + [a + d for a in w[s:t]] + w[t:]
+    s += len(w)
+    return [a + d for a in w[:t]] + w[t:s] + [a + d for a in w[s:]]
+
+
+class _Rotations:
+    """The angular sweeps around every point of a drawing, kept across moves.
+
+    Around each center the tables hold the sorted upper and lower key blocks
+    of ``_sweep``, each closed by a sentinel above every key, the window
+    counts in rotation order with their prefix sums, and every other point's
+    key and block.  The keys use ``_key_scale(span)``, so they stay exact
+    while the points and the candidates span less than ``limit``, the power
+    of two above span (``covers``).
+
+    A batch of candidates for an anchor p is scored without rebuilding any
+    sweep.  Around each other center v, p's stored key finds its position
+    by one bisection.  The points whose window contains p are the arc of
+    positions in the half turn before it, so taking p out is one deletion
+    from a key block and a decrement over that arc: small-int work, once
+    per center and batch, after which every candidate is scored as against
+    a fresh sweep of the drawing without p.  cr(S - p) is cr(S) minus p's
+    involvement, the sum of C(window, 2) around p minus ``_containing`` of
+    p around every other center.  Moving p re-sweeps around p only; around
+    every other center p's key is deleted and inserted again (a direction
+    and its opposite share a key, so it is read off p's new sweep), with the
+    same arc updates.
+    """
+
+    def __init__(self, pts, span):
+        self.pts = [tuple(p) for p in pts]
+        self.limit = 1 << span.bit_length()
+        self.shift, self.axis = _key_scale(span)
+        self.centers = [self._center(v) for v in range(len(self.pts))]
+        windows = chain.from_iterable(c[2] for c in self.centers)
+        self.crossings = crossings_from_windows(len(self.pts), windows)
+
+    def _center(self, v):
+        _, avals, up, low = _sweep(self.pts, v, self.shift, self.axis)
+        where = [None] * len(self.pts)
+        for key, w in up:
+            where[w] = (key, True)
+        for key, w in low:
+            where[w] = (key, False)
+        top = -self.axis
+        ukeys = [key for key, _ in up] + [top]
+        lkeys = [key for key, _ in low] + [top]
+        return ukeys, lkeys, avals, list(accumulate(avals, initial=0)), where
+
+    def covers(self, candidates):
+        """True when the points and the candidates span less than limit."""
+        return _span(self.pts + list(candidates)) < self.limit
+
+    def _drop(self, v, p):
+        """Center v's key blocks and window counts without p, and p's position.
+
+        The block p leaves and the window counts are new lists."""
+        ukeys, lkeys, avals, _, where = self.centers[v]
+        key, upper = where[p]
+        if upper:
+            t = bisect_left(ukeys, key)
+            ukeys = ukeys[:t] + ukeys[t + 1:]
+        else:
+            i = bisect_left(lkeys, key)
+            t = len(ukeys) - 1 + i
+            lkeys = lkeys[:i] + lkeys[i + 1:]
+        w = _arc_add(avals, t, len(avals) - 1 - avals[t], -1)
+        del w[t]
+        return ukeys, lkeys, w, t
+
+    def evaluate(self, anchor, candidates):
+        """Crossing count of the drawing with the anchor moved to each candidate.
+
+        With the anchor taken out, m points stay fixed.  A candidate q costs,
+        per fixed point v, one key for d = q - v and two bisections into v's
+        key blocks.  They give a_v, the number of fixed points in the open
+        half turn after d, and the window sum over the points before d, which
+        is what ``_containing`` needs for the triangles qvw containing a
+        point.  No sweep around q is needed for the triangles containing q: a
+        point w other than v lies left of q->v exactly when it lies right of
+        v->q, so v's window around q is (m - 1) - a_v.  A candidate that
+        repeats a fixed point, or whose key equals a stored key (it lies on a
+        line through two fixed points), yields None.  The caller checks
+        ``covers`` first.
+        """
+        m = len(self.pts) - 1
+        cr = self.crossings - sum(a * (a - 1) // 2 for a in self.centers[anchor][2])
+        views = []
+        for v, (x, y) in enumerate(self.pts):
+            if v != anchor:
+                ukeys, lkeys, w, t = self._drop(v, anchor)
+                cr += _containing(m, self.centers[v][3], t)
+                pref = list(accumulate(w, initial=0))
+                views.append((x, y, ukeys, lkeys, len(ukeys) - 1, pref, pref[-1]))
+        shift = self.shift
+        axis = self.axis
+        # a_v and (m - 1) - a_v both enter as C(., 2), so one table indexed by
+        # either of them serves both.
+        pair_terms = [j * (j - 1) // 2 + (m - 1 - j) * (m - 2 - j) // 2 for j in range(m)]
+        base = cr - m * comb(m - 1, 2)
+        results = []
+        for qx, qy in candidates:
+            total = base
+            for vx, vy, ukeys, lkeys, nu, pref, tot in views:
+                dx = qx - vx
+                dy = qy - vy
+                if dy > 0:
+                    key = (-dx << shift) // dy
+                    upper = True
+                elif dy < 0:
+                    key = (dx << shift) // -dy
+                    upper = False
+                elif dx:
+                    key = axis
+                    upper = dx > 0
+                else:
+                    break
+                cu = bisect_left(ukeys, key)
+                cl = bisect_left(lkeys, key)
+                if ukeys[cu] == key or lkeys[cl] == key:
+                    break
+                # Positions cu .. nu + cl - 1 lie after the upper fold of d and
+                # before its lower fold: the half turn before d when d is lower,
+                # the one after it when d is upper.  Their count is a_v or
+                # (m - 1) - a_v.
+                span = pref[nu + cl] - pref[cu]
+                total += pair_terms[nu - cu + cl] + (tot - span if upper else span)
+            else:
+                results.append(total)
+                continue
+            results.append(None)
+        return results
+
+    def move(self, p, q, crossings):
+        """Move point p to q, which must keep general position, leaving a
+        drawing with the given crossing count."""
+        self.pts[p] = tuple(q)
+        self.centers[p] = own = self._center(p)
+        for v in range(len(self.pts)):
+            if v == p:
+                continue
+            key, upper = own[4][v]
+            ukeys, lkeys, w, _ = self._drop(v, p)
+            nu = len(ukeys) - 1
+            cu = bisect_left(ukeys, key)
+            cl = bisect_left(lkeys, key)
+            if upper:  # v lies in p's upper half turn, so p in v's lower one
+                t = nu + cl
+                a = len(lkeys) - 1 - cl + cu
+                lkeys = lkeys[:cl] + [key] + lkeys[cl:]
+            else:
+                t = cu
+                a = nu - cu + cl
+                ukeys = ukeys[:cu] + [key] + ukeys[cu:]
+            w = _arc_add(w, t, len(w) - a, 1)
+            w.insert(t, a)
+            where = self.centers[v][4]
+            where[p] = (key, not upper)
+            self.centers[v] = (ukeys, lkeys, w, list(accumulate(w, initial=0)), where)
+        self.crossings = crossings
 
 
 def evaluate_candidates(S, batch):
     """Crossing count of S with the anchor replaced by each candidate.
 
-    Let T be S without the anchor, with m points.  The batch sweeps around
-    every point of T once, keying directions by one exact scale K = M^2 + 1,
-    where M is the larger span of T together with all candidates: every
-    direction from a point of T to another point or to a candidate then has
-    components of size at most M, so its folded key follows the angular
-    order exactly and two keys are equal exactly when the directions are
-    collinear (the argument of ``_key_scale``).
+    A one-shot build of the relocation tables (``_Rotations``) for S,
+    queried with the whole batch.  The key scale covers S together with all
+    candidates: every direction from a point of S to another point or to a
+    candidate then has components below the scale's bound, so its folded
+    key follows the angular order exactly and two keys are equal exactly
+    when the directions are collinear (``_key_scale``).  Total cost
+    O(n^2 log n) for the n sweeps of S plus O(n log n) per candidate.  S
+    must be in general position (DegenerateError otherwise).
 
-    A candidate q costs, per point v of T, one key for d = q - v and two
-    bisections into v's sorted upper and lower key blocks.  They give a_v,
-    the number of points of T in the open half turn after d, and the sum of
-    window counts over the points before d, which is what the formula of
-    ``crossings_involving`` needs for the triangles qvw containing a point.
-    No sweep around q is needed for the triangles of T containing q: a point
-    w of T other than v lies left of q->v exactly when it lies right of
-    v->q, so v's window count around q is (m - 1) - a_v.  Total cost
-    O(m^2 log m) for the tables plus O(m log m) per candidate.
-
-    A candidate that breaks general position (it repeats a point of T, or a
-    key equals a stored key, i.e. it lies on a line through two points of T)
-    yields None instead of a count.
+    A candidate that breaks general position (it repeats a point of S
+    without the anchor, or lies on a line through two of them) yields None
+    instead of a count.
     """
     pts = _points(S)
     n = len(pts)
     h = batch.anchor_index
     if not 0 <= h < n:
         raise ValueError("anchor index out of range")
-    T = pts[:h] + pts[h + 1:]
-    m = n - 1
-    if m < 3:
+    if n < 4:
         raise ValueError("need at least 4 points")
-    K, axis = _key_scale(T + list(batch.candidates))
-    top = -axis  # above every key, so a bisection never runs off a block
-    # a_v and (m - 1) - a_v both enter as C(., 2), so one table indexed by
-    # either of them serves both.
-    pair_terms = [j * (j - 1) // 2 + (m - 1 - j) * (m - 2 - j) // 2 for j in range(m)]
-    tables = []
-    windows = []
-    for v in range(m):
-        _, avals, up, low = _sweep(T, v, K, axis)
-        windows += avals
-        pref = _window_prefix(avals)
-        ukeys = [k for k, _ in up]
-        ukeys.append(top)
-        lkeys = [k for k, _ in low]
-        lkeys.append(top)
-        tables.append((T[v][0], T[v][1], ukeys, lkeys, len(up), pref, pref[-1]))
-    base = crossings_from_windows(m, windows) - m * comb(m - 1, 2)
-    results = []
-    for qx, qy in batch.candidates:
-        total = base
-        for vx, vy, ukeys, lkeys, nu, pref, tot in tables:
-            dx = qx - vx
-            dy = qy - vy
-            if dy > 0:
-                key = (-dx) * K // dy
-                upper = True
-            elif dy < 0:
-                key = dx * K // (-dy)
-                upper = False
-            elif dx:
-                key = axis
-                upper = dx > 0
-            else:
-                break
-            cu = bisect_left(ukeys, key)
-            cl = bisect_left(lkeys, key)
-            if ukeys[cu] == key or lkeys[cl] == key:
-                break
-            # Positions cu .. nu + cl - 1 lie after the upper fold of d and
-            # before its lower fold: the half turn before d when d is lower,
-            # the one after it when d is upper.  Their count is a_v or
-            # (m - 1) - a_v.
-            span = pref[nu + cl] - pref[cu]
-            total += pair_terms[nu - cu + cl] + (tot - span if upper else span)
-        else:
-            results.append(total)
-            continue
-        results.append(None)
-    return results
+    return _Rotations(pts, _span(pts + list(batch.candidates))).evaluate(h, batch.candidates)

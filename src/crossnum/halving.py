@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import DegenerateError, _key_scale, _points, _sweep, orient, sweep_around
+from .geometry import DegenerateError, _key_scale, _points, _span, _sweep, orient, sweep_around
 from .signatures import _rotation_windows, rotation
 
 
@@ -89,7 +89,7 @@ def _balancing_gaps(pts, v):
     """
     m = len(pts) - 1
     cx, cy = pts[v]
-    order, avals, up, low = _sweep(pts, v, *_key_scale(pts))
+    order, avals, up, low = _sweep(pts, v, *_key_scale(_span(pts)))
     window = dict(zip(order, avals))
     half = []
     for _, q, true in sorted([(k, q, True) for k, q in up] + [(k, q, False) for k, q in low]):

@@ -14,12 +14,11 @@ from itertools import combinations
 from math import floor, inf, lcm
 
 from .geometry import (
-    CandidateBatch,
     PointSet,
     _int_table,
-    count_crossings,
+    _Rotations,
+    _span,
     crossings_from_windows,
-    evaluate_candidates,
     left_table,
     orient,
     removal_values,
@@ -83,6 +82,14 @@ def random_relocation(S, budget, progress=None):
     Candidates that break general position are skipped.  ``half`` halves
     after 50 * n steps in a row without a strict improvement.  Returns the
     best set found.
+
+    The sweeps around every point (``geometry._Rotations``) are built once
+    and kept for the whole run: a step scores its batch against them with
+    the vertex taken out, an accepted move re-sweeps around the moved vertex
+    only, and the starting count comes from them too.  Their key scale
+    covers the points together with the sampling square around every one of
+    them (``half`` only shrinks); they are rebuilt only when a batch leaves
+    it, after accepted moves have pushed a point outward.
     """
     n = S.n
     if n < 4:
@@ -94,7 +101,8 @@ def random_relocation(S, budget, progress=None):
     # factor sqrt(2)).
     half = (max(xs) - min(xs)) + (max(ys) - min(ys)) or 1
 
-    cur, cur_cr = S, count_crossings(S)
+    tables = _Rotations(S, _span(S) + 2 * half)
+    cur, cur_cr = S, tables.crossings
     best, best_cr = cur, cur_cr
     stall = 0
     steps = 0
@@ -106,7 +114,9 @@ def random_relocation(S, budget, progress=None):
             (px + rng.randint(-half, half), py + rng.randint(-half, half))
             for _ in range(n)
         )
-        counts = evaluate_candidates(cur, CandidateBatch(p, cands))
+        if not tables.covers(cands):
+            tables = _Rotations(cur, _span(cur) + 2 * half)
+        counts = tables.evaluate(p, cands)
         pick, pick_cr = None, None
         for i, c in enumerate(counts):
             if c is not None and (pick_cr is None or c < pick_cr):
@@ -116,6 +126,7 @@ def random_relocation(S, budget, progress=None):
         if pick is not None and pick_cr <= cur_cr:
             improved = pick_cr < cur_cr
             cur, cur_cr = cur.replace(p, cands[pick]), pick_cr
+            tables.move(p, cands[pick], cur_cr)
             if cur_cr < best_cr:
                 best, best_cr = cur, cur_cr
         if improved:

@@ -1,6 +1,7 @@
 """Exact predicates, crossing counters, and candidate evaluation."""
 
 import random
+from functools import cmp_to_key
 from math import comb
 
 import pytest
@@ -11,6 +12,8 @@ from crossnum.geometry import (
     CandidateBatch,
     DegenerateError,
     PointSet,
+    _Rotations,
+    _span,
     count_crossings,
     count_crossings_brute,
     evaluate_candidates,
@@ -247,6 +250,97 @@ def test_evaluate_candidates_matches_sweep_oracle():
         nones += got.count(None)
         assert got[batch.candidates.index(S[h])] == count_crossings(S)
     assert nones >= 900  # the degenerate candidates are really exercised
+
+
+def _angular_order(pts, c):
+    """The other points' indices counterclockwise around pts[c] from the
+    positive x axis, by exact cross products."""
+    cx, cy = pts[c]
+
+    def cmp(i, j):
+        a = (pts[i][0] - cx, pts[i][1] - cy)
+        b = (pts[j][0] - cx, pts[j][1] - cy)
+        if _is_upper(a) != _is_upper(b):
+            return -1 if _is_upper(a) else 1
+        return -1 if a[0] * b[1] - a[1] * b[0] > 0 else 1
+
+    return sorted((i for i in range(len(pts)) if i != c), key=cmp_to_key(cmp))
+
+
+def test_key_scale_boundary():
+    # Span 2^8 - 1 in both axes.  Around (0, 0) the directions (128, 255) and
+    # (127, 253) have slopes 1/(255 * 253) apart, the least two directions
+    # of this span can be; with a key shift one bit short they floor to the
+    # same key, which reads as a collinear triple.
+    pts = [(0, 0), (128, 255), (127, 253), (255, 40), (40, 170), (200, 90), (90, 20)]
+    assert _span(pts) == 2**8 - 1
+    S = PointSet(tuple(pts))
+    for c in range(len(pts)):
+        order, avals = sweep_around(pts, c)
+        assert order == _angular_order(pts, c)
+        d = [(pts[q][0] - pts[c][0], pts[q][1] - pts[c][1]) for q in range(len(pts))]
+        assert avals == [
+            sum(1 for e in d if d[q][0] * e[1] - d[q][1] * e[0] > 0) for q in order
+        ]
+    assert count_crossings(S) == count_crossings_brute(S)
+    # a collinear triple at full span is still caught
+    col = PointSet(((0, 0), (85, 84), (255, 252), (255, 10), (30, 255)))
+    assert _span(col) == 2**8 - 1
+    with pytest.raises(DegenerateError):
+        sweep_around(col, 0)
+    with pytest.raises(DegenerateError):
+        count_crossings(col)
+
+
+def test_rotation_tables_follow_moves():
+    # A seeded sequence of accepted moves on one set of persistent tables,
+    # each batch checked against the sweep oracle and full recounts, and the
+    # tables after each move against a fresh build.  Every point stays a
+    # multiple of 6, as _hard_candidates needs; some moves go far outside
+    # the key scale's range and force the tables to be rebuilt first.
+    rng = random.Random(62)
+    rebuilds = moves = nones = 0
+    for trial in range(24):
+        n = rng.randint(5, 11)
+        lim = rng.choice((40, 10**4, 10**9))
+        S = PointSet(tuple((6 * x, 6 * y) for x, y in rand_general(rng, n, lim)))
+        span = _span(S)
+        tables = _Rotations(S, span)
+        assert tables.crossings == count_crossings(S)
+        for step in range(10):
+            h = rng.randrange(n)
+            batch = CandidateBatch(h, _hard_candidates(rng, S, h, 3 * lim))
+            if not tables.covers(batch.candidates):
+                span = _span(list(S) + list(batch.candidates))
+                tables = _Rotations(S, span)
+            got = tables.evaluate(h, batch.candidates)
+            assert got == evaluate_candidates_oracle(S, batch), (trial, step)
+            for q, c in zip(batch.candidates, got):
+                if c is not None:
+                    assert c == count_crossings(S.replace(h, q)), (trial, step)
+            nones += got.count(None)
+            reach = rng.choice((lim, lim, 10**30 * lim))
+            while True:
+                q = (6 * rng.randint(-reach, reach), 6 * rng.randint(-reach, reach))
+                if step == 4:
+                    q = S[h]  # identity move
+                elif step % 3 == 0:  # level with another point, or plumb
+                    w = S[rng.randrange(n)]
+                    q = (q[0], w[1]) if step == 3 else (w[0], q[1])
+                if not tables.covers([q]):
+                    span = _span(list(S) + [q])
+                    tables = _Rotations(S, span)
+                    rebuilds += 1
+                c = tables.evaluate(h, [q])[0]
+                if c is not None:
+                    break
+            S = S.replace(h, q)
+            tables.move(h, q, c)
+            moves += 1
+            assert c == count_crossings(S)
+            assert tables.pts == list(S)
+            assert tables.centers == _Rotations(S, span).centers
+    assert moves == 240 and rebuilds >= 10 and nones >= 1000
 
 
 def test_degenerate_raises():

@@ -171,6 +171,36 @@ def test_relocation_deterministic_and_never_worse():
         assert count_crossings(r1) <= count_crossings(S)
 
 
+def test_relocation_seeded_outputs_pinned():
+    # sha256 of the output drawings, recorded before the sweep tables were
+    # kept across steps: the first 48 points of k2643, the doubling chain
+    # at 48, and random 6-point sets on 3000-step runs, whose sampling
+    # squares outgrow the key scale and rebuild the tables.
+    chain48 = PointSet(((0, 0), (1, 0), (0, 1)))
+    while chain48.n < 48:
+        chain48, _ = double_points(chain48, halving_matching(chain48))
+    rng = random.Random(5)
+    runs = [(_k2643(48), seed, 30) for seed in (1, 2, 3)]
+    runs += [(chain48, seed, 30) for seed in (1, 2, 3)]
+    runs += [(rand_general(rng, 6), seed, 3000) for seed in (0, 1, 2)]
+
+    def digest(S, seed, steps):
+        R = random_relocation(S, SearchBudget(max_steps=steps, rng_seed=seed))
+        return hashlib.sha256(format_drawing(R).encode()).hexdigest()
+
+    assert [digest(*run) for run in runs] == [
+        "27bbcf9f54ad8b331431ea13bd90e2d751f32296dc690bda715bb0a8d563e2e2",
+        "1f2f7666a8a49ccd418d8a44d876ac39930371203669f86d2698ce8208e3ae95",
+        "59af02c0eb6b51b686a94e32fc619a51c451e5403e210c5bb80d1704f87c853e",
+        "92e2be220fb26b6b5ce1dcb5e22ab634880b2f2d15024b09ba082478d0c69316",
+        "92e2be220fb26b6b5ce1dcb5e22ab634880b2f2d15024b09ba082478d0c69316",
+        "92e2be220fb26b6b5ce1dcb5e22ab634880b2f2d15024b09ba082478d0c69316",
+        "ad8916bb6ead835e3db0ce36dda79e8b77d1c97fa50c43ea4a9eba348d0057f4",
+        "145ebbd87b4a1c5a29c60c866819294122a0de31621cf4bb591da44157805050",
+        "697a69a37418f14189883c7fff27f211c0f3d0ca8e7b34b145f62c16eeb78fdf",
+    ]
+
+
 def test_cell_walk_deterministic_and_never_worse():
     rng = random.Random(32)
     for trial in range(8):
