@@ -1,27 +1,32 @@
 """Scheduler tying the heuristics, doubling, and registry into one loop.
 
-One cycle optimizes the records with the best bounds, submits improvements,
-and — when a kind's best bound has not moved for ``stall_window`` seconds —
-doubles the best doubleable drawing, shrinks it back down submitting every
-intermediate cardinality, locally optimizes the doubled set and a sample of
-the subdrawings with small budgets, and starts over.  Each record gets
-``worker_count`` lanes per cycle, run one after another and each seeded from
-the global seed, so a run's submissions are reproducible; all durable state
-lives in the registry, so an interrupted run resumes for free.
+One cycle searches the records with the best bounds and submits what it
+finds.  When a kind's best bound has not moved for ``stall_window``
+seconds, the best record whose double is not already stored at no more than
+the predicted crossings is doubled and shrunk back down, every size
+submitted, and the double and a sample of its shrinks are searched with
+budgets capped at ``limited_budget``.  Both phases search through
+``_Run._search`` and submit every output that differs from its input: the
+registry alone judges improvement.  Each lane is seeded from the global
+seed, so its outputs are reproducible, but a run's submissions depend on
+machine speed through the wall-clock ``stall_window`` and ``run_time``.
+All durable state lives in the registry, so an interrupted run resumes for
+free.
 """
 
 import json
 import random
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from hashlib import blake2b
+from math import inf
 
-from .doubling import VerificationError, double_points, double_signature
+from .doubling import VerificationError, double_points, double_signature, predicted_double
 from .geometry import DegenerateError, PointSet
 from .halving import halving_matching, halving_matching_sig
 from .heuristics import SearchBudget, cell_walk, random_relocation, shrink, sig_flip_search
 from .io import load_drawing
-from .registry import Registry, count_drawing
+from .registry import Registry
 from .signatures import Signature, convex_signature
 
 TRIANGLE = PointSet(((0, 0), (1, 0), (0, 1)))
@@ -148,61 +153,66 @@ class _Run:
             self.log(f"{kind}: accepted n={rec.n} crossings={rec.crossings} via {provenance}")
         return res
 
+    def _search(self, kind, drawing, budgets, *seed_parts):
+        """The outputs of the kind's heuristics on drawing that differ from it,
+        labelled by heuristic and seed, ``_lane_seed(*seed_parts, name)``.  A
+        zero budget runs nothing, and so does a three-point rect drawing."""
+        outs = []
+        for name in ("relocate", "cellwalk") if kind == "rect" else ("flip",):
+            if not budgets[name] or (kind == "rect" and drawing.n < 4):
+                continue
+            seed = _lane_seed(*seed_parts, name)
+            budget = SearchBudget(max_steps=budgets[name], rng_seed=seed)
+            if name == "relocate":
+                out, label = random_relocation(drawing, budget), f"relocate(seed={seed})"
+            elif name == "cellwalk":
+                v = random.Random(seed).randrange(drawing.n)
+                out, label = cell_walk(drawing, v, budget), f"cellwalk(seed={seed},v={v})"
+            else:
+                out, label = sig_flip_search(drawing, budget), f"flip(seed={seed})"
+            if out != drawing:
+                outs.append((out, label))
+        return outs
+
     # -- optimize phase -------------------------------------------------------
 
-    def _tasks(self, cycle):
-        tasks = []
+    def optimize_phase(self, cycle):
+        # every lane searches from the records as they stood at the cycle's start
+        found = []
         for kind in self.cfg.kinds:
             for rec in self.registry.best_records(kind, self.cfg.top_k):
+                drawing = load_drawing(rec.payload_path)
                 for lane in range(self.cfg.worker_count):
-                    tasks.append((kind, rec, lane))
-        return tasks
-
-    def _run_task(self, cycle, kind, rec, lane, budgets=None):
-        """Run every heuristic of the kind on one record snapshot."""
-        budgets = budgets or self.cfg.heuristic_budgets
-        drawing = load_drawing(rec.payload_path)
-        results = []
-        if kind == "rect":
-            seed = _lane_seed(self.cfg.seed, kind, rec.n, cycle, lane, "relocate")
-            out = random_relocation(drawing, SearchBudget(max_steps=budgets["relocate"], rng_seed=seed))
-            if tuple(out) != tuple(drawing):
-                results.append((out, f"relocate(seed={seed}) from n={rec.n}"))
-            if drawing.n >= 4 and budgets["cellwalk"]:
-                seed = _lane_seed(self.cfg.seed, kind, rec.n, cycle, lane, "cellwalk")
-                v = random.Random(seed).randrange(drawing.n)
-                out = cell_walk(drawing, v, SearchBudget(max_steps=budgets["cellwalk"], rng_seed=seed))
-                if tuple(out) != tuple(drawing):
-                    results.append((out, f"cellwalk(seed={seed},v={v}) from n={rec.n}"))
-        else:
-            seed = _lane_seed(self.cfg.seed, kind, rec.n, cycle, lane, "flip")
-            out = sig_flip_search(drawing, SearchBudget(max_steps=budgets["flip"], rng_seed=seed))
-            if out != drawing:
-                results.append((out, f"flip(seed={seed}) from n={rec.n}"))
-        return results
-
-    def optimize_phase(self, cycle):
-        # every task searches from the records as they stood at the cycle's start
-        batches = [self._run_task(cycle, *t) for t in self._tasks(cycle)]
-        for batch in batches:
-            for drawing, provenance in batch:
-                self.submit(drawing, provenance)
+                    parts = (self.cfg.seed, kind, rec.n, cycle, lane)
+                    outs = self._search(kind, drawing, self.cfg.heuristic_budgets, *parts)
+                    found += [(out, f"{label} from n={rec.n}") for out, label in outs]
+        for drawing, provenance in found:
+            self.submit(drawing, provenance)
 
     # -- doubling phase -------------------------------------------------------
 
     def double_phase(self, kind):
-        """Double the best viable record; shrink and re-optimize its outputs."""
-        for rec in self.registry.best_records(kind, self.cfg.top_k):
+        """Double the best record whose double can improve the registry;
+        shrink and search its outputs.  Only the first top_k records report
+        a skip for size or a missing matching."""
+        recs = self.registry.best_records(kind)
+        stored = {r.n: r.crossings for r in recs}
+        for i, rec in enumerate(recs):
+            reported = i < self.cfg.top_k
             if 2 * rec.n > self.cfg.max_n[kind]:
-                self.report["skipped_too_large"].append({"kind": kind, "n": rec.n})
-                self.log(f"{kind}: n={rec.n} skipped (doubling exceeds max_n)")
+                if reported:
+                    self.report["skipped_too_large"].append({"kind": kind, "n": rec.n})
+                    self.log(f"{kind}: n={rec.n} skipped (doubling exceeds max_n)")
+                continue
+            if stored.get(2 * rec.n, inf) <= predicted_double(kind, rec.n, rec.crossings):
                 continue
             drawing = load_drawing(rec.payload_path)
             try:
                 matching = halving_matching(drawing) if kind == "rect" else halving_matching_sig(drawing)
                 if not matching:
-                    self.report["no_matching"].append({"kind": kind, "n": rec.n})
-                    self.log(f"{kind}: n={rec.n} has no halving matching, trying next-best")
+                    if reported:
+                        self.report["no_matching"].append({"kind": kind, "n": rec.n})
+                        self.log(f"{kind}: n={rec.n} has no halving matching, trying next-best")
                     continue
                 if kind == "rect":
                     doubled, dreport = double_points(drawing, matching)
@@ -211,18 +221,7 @@ class _Run:
             except (DegenerateError, VerificationError) as exc:
                 self.log(f"{kind}: doubling n={rec.n} failed: {exc}")
                 continue
-            self.report["doublings"].append(
-                {
-                    "kind": kind,
-                    "input_n": dreport.input_n,
-                    "input_crossings": dreport.input_crossings,
-                    "output_n": dreport.output_n,
-                    "output_crossings": dreport.output_crossings,
-                    "predicted_crossings": dreport.predicted_crossings,
-                    "scale_used": dreport.scale_used,
-                    "retries": dreport.retries,
-                }
-            )
+            self.report["doublings"].append({"kind": kind, **asdict(dreport)})
             self.log(
                 f"{kind}: doubled n={rec.n} -> n={doubled.n} "
                 f"crossings={dreport.output_crossings} (= predicted)"
@@ -237,26 +236,17 @@ class _Run:
                     for out in outs:
                         self.submit(out, f"{chain}->shrink(tuple={tup},n={out.n})")
                     subdrawings.extend(_spaced(outs, 5))
+            cap = self.cfg.limited_budget
+            limited = {name: min(steps, cap) for name, steps in self.cfg.heuristic_budgets.items()}
+            limited["cellwalk"] = 0
             for sub in subdrawings:
                 if self.out_of_time():
                     break
-                self.limited_optimize(kind, sub, chain)
+                parts = (self.cfg.seed, kind, sub.n, "limited", chain)
+                for out, label in self._search(kind, sub, limited, *parts):
+                    self.submit(out, f"{chain}->{label}")
             return True
         return False
-
-    def limited_optimize(self, kind, drawing, chain):
-        budgets = {name: min(steps, self.cfg.limited_budget) for name, steps in self.cfg.heuristic_budgets.items()}
-        seed = _lane_seed(self.cfg.seed, kind, drawing.n, "limited", chain)
-        if kind == "rect":
-            if drawing.n < 4:
-                return
-            out = random_relocation(drawing, SearchBudget(max_steps=budgets["relocate"], rng_seed=seed))
-            prov = f"{chain}->relocate(seed={seed})"
-        else:
-            out = sig_flip_search(drawing, SearchBudget(max_steps=budgets["flip"], rng_seed=seed))
-            prov = f"{chain}->flip(seed={seed})"
-        if count_drawing(out) < count_drawing(drawing):
-            self.submit(out, prov)
 
     # -- main loop --------------------------------------------------------------
 

@@ -255,8 +255,8 @@ class Registry:
         best = min(recs, key=lambda r: (r.bound.value, r.n))
         return best.n, best.bound
 
-    def best_records(self, kind, top_k):
-        """Up to top_k records of the kind, best bound first."""
+    def best_records(self, kind, top_k=None):
+        """Up to top_k records of the kind (all when None), best bound first."""
         recs = sorted(self.records(kind), key=lambda r: (r.bound.value, r.n))
         return recs[:top_k]
 

@@ -19,6 +19,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from crossnum.doubling import (
     double_points,
     double_signature,
@@ -267,6 +269,7 @@ def test_heuristic_attainment():
         assert all(b <= a for a, b in zip(logs[0], logs[0][1:]))
 
 
+@pytest.mark.slow
 def test_pipeline_integrity(tmp_path):
     cfg = PipelineConfig(
         kinds=("rect", "pseudo"),

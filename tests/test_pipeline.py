@@ -2,6 +2,7 @@
 and short end-to-end runs that must leave the registry self-consistent."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,9 @@ from crossnum.geometry import DegenerateError, PointSet
 from crossnum.halving import halving_matching
 from crossnum.pipeline import TRIANGLE, PipelineConfig, orchestrate, _lane_seed, _Run
 from crossnum.registry import Registry
+from crossnum.signatures import signature_of
+
+from conftest import rand_general
 
 K4_INNER = PointSet(((0, 0), (7, 1), (3, 8), (2, 3)))  # 0 crossings, best rect bound
 
@@ -63,6 +67,64 @@ def test_failing_halving_match_tries_next_record(tmp_path, monkeypatch):
     assert run.double_phase("rect")
     assert [d["input_n"] for d in run.report["doublings"]] == [3]
     assert any("n=4 failed: no balancing gap" in line for line in run.report["log"])
+
+
+def test_double_phase_passes_over_stored_doubles(tmp_path):
+    # the triangle's double is stored at its predicted count, so the phase
+    # doubles that 6-point record instead of redoing 3 -> 6
+    cfg = PipelineConfig(kinds=("rect",), top_k=2, registry_path=str(tmp_path / "reg"), max_n={"rect": 12})
+    run = _Run(cfg)
+    S6, _ = double_points(TRIANGLE, halving_matching(TRIANGLE))
+    assert run.submit(K4_INNER, "k4") and run.submit(TRIANGLE, "seed") and run.submit(S6, "double")
+    assert run.double_phase("rect")
+    assert run.report["doublings"][0]["input_n"] == 6
+    assert run.report["no_matching"] == [{"kind": "rect", "n": 4}]
+    assert run.registry.get("rect", 12) is not None
+
+
+def test_optimize_phase_accepts_pinned_submissions(tmp_path):
+    cfg = PipelineConfig(
+        top_k=3,
+        heuristic_budgets={"relocate": 2, "cellwalk": 20, "flip": 40},
+        worker_count=2,
+        registry_path=str(tmp_path / "reg"),
+        seed=2,
+    )
+    run = _Run(cfg)
+    rng = random.Random(2024)
+    for n in (8, 10, 12):
+        S = rand_general(rng, n)
+        assert run.submit(S, f"random(n={n})") and run.submit(signature_of(S), f"signature(n={n})")
+    run.report["accepted"].clear()
+    submitted = []
+    submit = run.submit
+
+    def recording_submit(drawing, provenance):
+        submitted.append(provenance)
+        return submit(drawing, provenance)
+
+    run.submit = recording_submit
+    run.optimize_phase(0)
+    # every heuristic of every lane of every record submits something
+    for kind, names in (("rect", ("relocate", "cellwalk")), ("pseudo", ("flip",))):
+        for n in (8, 10, 12):
+            for lane in range(2):
+                for name in names:
+                    seed = _lane_seed(2, kind, n, 0, lane, name)
+                    assert any(f"{name}(seed={seed}" in p for p in submitted), (kind, n, lane, name)
+    # pinned: a change to a lane seed, a provenance or the submission order shows here
+    got = [(a["kind"], a["n"], a["crossings"], a["provenance"]) for a in run.report["accepted"]]
+    assert got == [
+        ("rect", 10, 117, "relocate(seed=13085118299881858702) from n=10"),
+        ("rect", 10, 110, "cellwalk(seed=7772963780504535098,v=4) from n=10"),
+        ("rect", 8, 34, "relocate(seed=15972129331180475181) from n=8"),
+        ("rect", 12, 287, "relocate(seed=12306937525195013720) from n=12"),
+        ("pseudo", 10, 110, "flip(seed=10624001904088428060) from n=10"),
+        ("pseudo", 10, 109, "flip(seed=4001607070278636027) from n=10"),
+        ("pseudo", 8, 39, "flip(seed=9752787392637478263) from n=8"),
+        ("pseudo", 12, 404, "flip(seed=14685336696299317026) from n=12"),
+        ("pseudo", 12, 400, "flip(seed=7595249336084452522) from n=12"),
+    ]
 
 
 def test_config_round_trip_and_validation(tmp_path):
