@@ -20,7 +20,7 @@ from .doubling import (
     double_signature,
     normalize_kind,
 )
-from .geometry import DegenerateError, PointSet
+from .geometry import DegenerateError, PointSet, count_crossings
 from .halving import halving_matching, halving_matching_sig
 from .heuristics import (
     SearchBudget,
@@ -37,7 +37,7 @@ from .io import (
     load_points,
 )
 from .pipeline import PipelineConfig, orchestrate
-from .registry import Registry, bound_for, count_drawing, count_drawing_brute, verify
+from .registry import Registry, bound_for, count_drawing_brute, verify
 from .signatures import Signature, signature_of
 from .svg import export_svg
 
@@ -67,7 +67,7 @@ def _progress_printer():
 
 def cmd_count(args):
     drawing = load_drawing(args.file)
-    fast = count_drawing(drawing)
+    fast = count_crossings(drawing)
     if args.brute:
         brute = count_drawing_brute(drawing)
         if brute != fast:
@@ -82,7 +82,7 @@ def cmd_bound(args):
     if kind == "rect" and isinstance(drawing, Signature):
         raise ValueError("a signature only certifies the pseudolinear bound")
     n = drawing.n
-    crossings = count_drawing(drawing)
+    crossings = count_crossings(drawing)
     bound = bound_for(kind, n, crossings)
     print(f"n = {n}")
     print(f"crossings = {crossings}")
@@ -128,7 +128,7 @@ def cmd_shrink(args):
     drawing = load_drawing(args.file)
 
     def emit(step_drawing):
-        print(f"n = {step_drawing.n}, crossings = {count_drawing(step_drawing)}", file=sys.stderr)
+        print(f"n = {step_drawing.n}, crossings = {count_crossings(step_drawing)}", file=sys.stderr)
 
     out = shrink(drawing, args.to, tuple_size=args.tuple, emit=emit)
     _dump(out)
@@ -156,7 +156,7 @@ def cmd_optimize(args):
         out = cell_walk(
             drawing, args.vertex, budget, mode=args.mode, progress=progress
         )
-    print(f"final count {count_drawing(out)}", file=sys.stderr)
+    print(f"final count {count_crossings(out)}", file=sys.stderr)
     _dump(out)
     return 0
 

@@ -299,15 +299,13 @@ def rect_bound(n, cr):
 def pseudo_bound(n, cr):
     """Exact pseudolinear-constant bound; parity picks the formula.
 
-    Even n matches rect_bound; odd n uses the (81/14)n correction term.
+    Even n gives rect_bound's value; odd n uses the (81/14)n correction term.
     """
     if n < 3:
         raise ValueError("need n >= 3")
     if n % 2 == 0:
-        num = Fraction(168 * cr + 21 * n**3 - 49 * n**2 + 30 * n, 7 * n**4)
-    else:
-        num = Fraction(336 * cr + 42 * n**3 - 98 * n**2 + 81 * n, 14 * n**4)
-    return _as_bound(num, "pseudo")
+        return _as_bound(rect_bound(n, cr).value, "pseudo")
+    return _as_bound(Fraction(336 * cr + 42 * n**3 - 98 * n**2 + 81 * n, 14 * n**4), "pseudo")
 
 
 def harary_hill(n):

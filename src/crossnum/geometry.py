@@ -50,8 +50,13 @@ def segments_cross(a, b, c, d):
 
 @dataclass(frozen=True)
 class PointSet:
-    """An indexed set of integer points; indices are stable identities."""
+    """An indexed set of integer points; indices are stable identities.
 
+    A rectilinear drawing: ``kind``, ``sweeps`` and ``delete`` are shared
+    with ``signatures.Signature``, so the counters take either kind.
+    """
+
+    kind = "rect"
     points: tuple
 
     def __post_init__(self):
@@ -81,6 +86,13 @@ class PointSet:
         pts = list(self.points)
         del pts[i]
         return PointSet(tuple(pts))
+
+    def sweeps(self):
+        """Each point's (order, avals) of ``sweep_around``, in index order,
+        all under one key scale; lazy, so one sweep is held at a time."""
+        pts = self.points
+        shift, axis = _key_scale(_span(pts))
+        return (_sweep(pts, v, shift, axis)[:2] for v in range(len(pts)))
 
 
 @dataclass(frozen=True)
@@ -214,19 +226,16 @@ def crossings_from_windows(n, windows):
     return comb(n, 4) - n * comb(n - 1, 3) + sum(a * (a - 1) // 2 for a in windows)
 
 
-def count_crossings(S):
-    """Exact crossing count of the straight-line K_n drawing on S.
+def count_crossings(D):
+    """Exact crossing count of a point set or a realizable signature.
 
-    The window counts of one angular sweep per point, summed by
-    crossings_from_windows.  O(n^2 log n).
+    The window counts of D's n sweeps, summed by crossings_from_windows.
+    O(n^2 log n).  A signature must be realizable (``is_realizable``): its
+    rotations and windows mean nothing otherwise, and no check is made here.
     """
-    pts = _points(S)
-    n = len(pts)
-    if n < 3:
+    if D.n < 3:
         raise ValueError("need at least 3 points")
-    scale = _key_scale(_span(pts))
-    windows = chain.from_iterable(_sweep(pts, p, *scale)[1] for p in range(n))
-    return crossings_from_windows(n, windows)
+    return crossings_from_windows(D.n, chain.from_iterable(avals for _, avals in D.sweeps()))
 
 
 def count_crossings_brute(S):
@@ -271,33 +280,6 @@ def _containing(m, pref, t):
     s = t + a + 1 - m
     arcsum = pref[t] - pref[s] if s >= 0 else pref[t] + pref[m] - pref[s + m]
     return (m - 1) * (m - 2) // 2 - a * (a - 1) // 2 - (arcsum - (m - 1 - a))
-
-
-def crossings_involving(n, sweeps):
-    """Crossing count plus per-vertex crossing involvements from sweeps.
-
-    sweeps yields, for each center x in index order, its (order, avals).  The
-    crossings involving p are the 4-subsets of p and three others in convex
-    position: the triangles of three others that miss p, the sum of
-    C(window, 2) around p, minus for every other center x the triangles
-    through p that contain x (``_containing``).  The count itself comes from
-    crossings_from_windows.  Returns (cr, involved); the
-    involvements satisfy sum(involved) == 4 * cr for point sets and
-    realizable signatures.
-    """
-    m = n - 1
-    involved = [0] * n
-
-    def windows():
-        # one sweep at a time, so no more than one is held
-        for x, (order, avals) in enumerate(sweeps):
-            pref = list(accumulate(avals, initial=0))
-            involved[x] += sum(a * (a - 1) // 2 for a in avals)
-            for t, p in enumerate(order):
-                involved[p] -= _containing(m, pref, t)
-            yield from avals
-
-    return crossings_from_windows(n, windows()), involved
 
 
 def _int_table(n):
@@ -367,18 +349,32 @@ def triple_crossings(n, L, pos):
             yield a, b, row
 
 
-def removal_values(S):
-    """cr(S minus p) for every vertex p, from one pass of angular sweeps.
+def removal_values(D):
+    """cr(D minus p) for every vertex p of a point set or a realizable
+    signature, from one pass over its sweeps; O(n^2 log n) in all.
 
-    O(n^2 log n) total instead of n separate recounts.
+    cr(D - p) is cr(D) minus the crossings involving p: the 4-subsets of p
+    and three others in convex position.  Those are the triangles of three
+    others that miss p, the sum of C(window, 2) around p, minus for every
+    other center x the triangles through p that contain x (``_containing``).
+    The sweeps are streamed, so no more than one is held.
     """
-    pts = _points(S)
-    n = len(pts)
+    n = D.n
     if n < 4:
         raise ValueError("need at least 4 points")
-    scale = _key_scale(_span(pts))
-    cr, involved = crossings_involving(n, (_sweep(pts, x, *scale)[:2] for x in range(n)))
-    return [cr - involved[p] for p in range(n)]
+    m = n - 1
+    involved = [0] * n
+
+    def windows():
+        for x, (order, avals) in enumerate(D.sweeps()):
+            pref = list(accumulate(avals, initial=0))
+            involved[x] += sum(a * (a - 1) // 2 for a in avals)
+            for t, p in enumerate(order):
+                involved[p] -= _containing(m, pref, t)
+            yield from avals
+
+    cr = crossings_from_windows(n, windows())
+    return [cr - i for i in involved]
 
 
 def _arc_add(w, t, k, d):

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import DegenerateError, _key_scale, _points, _span, _sweep, orient, sweep_around
+from .geometry import DegenerateError, _key_scale, _points, _span, _sweep, orient
 from .signatures import _rotation_windows, rotation
 
 
@@ -128,10 +128,9 @@ def halving_lines(S):
     if n < 3:
         raise ValueError("need at least 3 points")
     if n % 2 == 0:
-        pairs = _halving_pairs(n, (sweep_around(pts, a) for a in range(n)))
         return [
             HalvingLine(a, b, (pts[b][0] - pts[a][0], pts[b][1] - pts[a][1]))
-            for a, b in pairs
+            for a, b in _halving_pairs(n, S.sweeps())
         ]
     return [
         HalvingLine(v, None, (dx, dy))
@@ -213,8 +212,7 @@ def halving_matching(S):
         return HalvingMatching(
             {v: HalvingLine(v, None, halving_direction(S, v)) for v in range(n)}
         )
-    pairs = [(hl.anchor, hl.partner) for hl in halving_lines(S)]
-    partner = _max_line_matching(n, pairs)
+    partner = _max_line_matching(n, _halving_pairs(n, S.sweeps()))
     if partner is None:
         return NO_MATCHING
     return HalvingMatching({
@@ -281,8 +279,7 @@ def halving_matching_sig(D):
         rots = []
         windows = []
         cands = []
-        for v in range(n):
-            rot, av = _rotation_windows(D, v)
+        for v, (rot, av) in enumerate(D.sweeps()):
             first = sorted((p for p in range(m) if av[p] == hi), key=lambda p: rot[p])
             second = sorted((p for p in range(m) if av[p] == lo), key=lambda p: rot[p])
             if not first and not second:
@@ -301,7 +298,7 @@ def halving_matching_sig(D):
             )
         return HalvingMatching(assignments)
     want = (n - 2) // 2
-    sweeps = [_rotation_windows(D, v) for v in range(n)]
+    sweeps = list(D.sweeps())
     partner = _max_line_matching(n, _halving_pairs(n, sweeps))
     if partner is None:
         return NO_MATCHING

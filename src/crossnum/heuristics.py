@@ -22,17 +22,9 @@ from .geometry import (
     left_table,
     orient,
     removal_values,
-    sweep_around,
     triple_crossings,
 )
-from .signatures import (
-    Signature,
-    _rotation_windows,
-    delete_vertex,
-    is_realizable,
-    realizable_after_flip,
-    removal_values_sig,
-)
+from .signatures import Signature, is_realizable, realizable_after_flip
 
 _DIRECTION_RANGE = 10**9
 
@@ -247,7 +239,7 @@ def cell_walk(S, v, budget, mode="random", progress=None, on_state=None):
     rng = random.Random(budget.rng_seed)
     pts = [tuple(p) for p in S]
     others = [u for u in range(n) if u != v]
-    L = left_table(n, (sweep_around(pts, x) for x in range(n)))[0]
+    L = left_table(n, S.sweeps())[0]
     cr = crossings_from_windows(n, L)
     state = CellWalkState(v, (Fraction(pts[v][0]), Fraction(pts[v][1])))
     start_pos = state.current_point
@@ -308,7 +300,7 @@ def sig_flip_search(D, budget, progress=None):
     cur = D.copy()
     n = cur.n
     rng = random.Random(budget.rng_seed)
-    L = left_table(n, (_rotation_windows(cur, v) for v in range(n)))[0]
+    L = left_table(n, cur.sweeps())[0]
     cr = crossings_from_windows(n, L)
     best_cr = cr
     steps = 0
@@ -365,8 +357,7 @@ def _best_removal_tuple(drawing, k):
     the lexicographically least subset.  A signature must be realizable.
     """
     n = drawing.n
-    sweep = _rotation_windows if isinstance(drawing, Signature) else sweep_around
-    rows = triple_crossings(n, *left_table(n, (sweep(drawing, v) for v in range(n))))
+    rows = triple_crossings(n, *left_table(n, drawing.sweeps()))
     if k == 3:
         rows = list(rows)  # read twice: for the pair tables, then to score
     cr, inv, inv2 = _pair_tables(n, rows)
@@ -403,21 +394,20 @@ def shrink(drawing, target_n, tuple_size=1, emit=None):
         raise ValueError("tuple_size must be 1, 2 or 3")
     if target_n < 3:
         raise ValueError("target_n must be at least 3")
-    is_sig = isinstance(drawing, Signature)
     cur = drawing
     if cur.n <= target_n:
         raise ValueError("drawing already has at most target_n vertices")
-    if is_sig and not is_realizable(cur):
+    if isinstance(cur, Signature) and not is_realizable(cur):
         raise ValueError("signature is not realizable")
     while cur.n > target_n:
         k = min(tuple_size, cur.n - target_n)
         if k == 1:
-            vals = removal_values_sig(cur) if is_sig else removal_values(cur)
+            vals = removal_values(cur)
             sel = (min(range(cur.n), key=lambda x: (vals[x], x)),)
         else:
             sel = _best_removal_tuple(cur, k)
         for x in sorted(sel, reverse=True):
-            cur = delete_vertex(cur, x) if is_sig else cur.delete(x)
+            cur = cur.delete(x)
         if emit is not None:
             emit(cur)
     return cur

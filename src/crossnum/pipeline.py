@@ -27,7 +27,7 @@ from .halving import halving_matching, halving_matching_sig
 from .heuristics import SearchBudget, cell_walk, random_relocation, shrink, sig_flip_search
 from .io import load_drawing
 from .registry import Registry
-from .signatures import Signature, convex_signature
+from .signatures import convex_signature
 
 TRIANGLE = PointSet(((0, 0), (1, 0), (0, 1)))
 
@@ -103,6 +103,10 @@ class PipelineConfig:
             return cls.from_dict(json.load(fh))
 
 
+class _OutOfTime(Exception):
+    """Leaves a shrink from its emit callback once the run is out of time."""
+
+
 def _lane_seed(*parts):
     """A stable 64-bit seed for one (record, cycle, lane, heuristic) slot."""
     digest = blake2b(":".join(map(str, parts)).encode(), digest_size=8)
@@ -139,7 +143,7 @@ class _Run:
     def submit(self, drawing, provenance):
         res = self.registry.submit_drawing(drawing, provenance)
         if res:
-            kind = "pseudo" if isinstance(drawing, Signature) else "rect"
+            kind = drawing.kind
             rec = self.registry.get(kind, drawing.n)
             self.report["accepted"].append(
                 {
@@ -191,10 +195,30 @@ class _Run:
 
     # -- doubling phase -------------------------------------------------------
 
+    def _shrink(self, doubled, tup, chain):
+        """The shrink outputs of doubled at tuple size tup, each submitted as
+        it is produced; the shrink stops at the first output that finds the
+        run out of time."""
+        outs = []
+
+        def emit(out):
+            self.submit(out, f"{chain}->shrink(tuple={tup},n={out.n})")
+            outs.append(out)
+            if self.out_of_time():
+                raise _OutOfTime
+
+        try:
+            shrink(doubled, self.cfg.shrink_target, tup, emit=emit)
+        except _OutOfTime:
+            pass
+        return outs
+
     def double_phase(self, kind):
         """Double the best record whose double can improve the registry;
         shrink and search its outputs.  Only the first top_k records report
-        a skip for size or a missing matching."""
+        a skip for size or a missing matching.  The clock is read before
+        each shrink tuple size and search and after each shrink output, so
+        the phase ends within one shrink step or search of the deadline."""
         recs = self.registry.best_records(kind)
         stored = {r.n: r.crossings for r in recs}
         for i, rec in enumerate(recs):
@@ -231,11 +255,9 @@ class _Run:
             subdrawings = [doubled]
             if doubled.n > self.cfg.shrink_target:
                 for tup in self.cfg.shrink_tuples:
-                    outs = []
-                    shrink(doubled, self.cfg.shrink_target, tup, emit=outs.append)
-                    for out in outs:
-                        self.submit(out, f"{chain}->shrink(tuple={tup},n={out.n})")
-                    subdrawings.extend(_spaced(outs, 5))
+                    if self.out_of_time():
+                        break
+                    subdrawings.extend(_spaced(self._shrink(doubled, tup, chain), 5))
             cap = self.cfg.limited_budget
             limited = {name: min(steps, cap) for name, steps in self.cfg.heuristic_budgets.items()}
             limited["cellwalk"] = 0

@@ -24,7 +24,7 @@ from .doubling import (
 )
 from .geometry import DegenerateError, count_crossings, count_crossings_brute
 from .io import ParseError, format_drawing, load_drawing, parse_drawing
-from .signatures import Signature, count_crossings_sig, count_crossings_sig_brute, is_realizable
+from .signatures import Signature, count_crossings_sig_brute, is_realizable
 
 INDEX_NAME = "index.json"
 _SUFFIX = {"rect": ".pts", "pseudo": ".sig"}
@@ -64,13 +64,6 @@ def bound_for(kind, n, crossings):
     return rect_bound(n, crossings) if kind == "rect" else pseudo_bound(n, crossings)
 
 
-def count_drawing(drawing):
-    """Crossing count of a point set or a signature, by the fast counter of its kind."""
-    if isinstance(drawing, Signature):
-        return count_crossings_sig(drawing)
-    return count_crossings(drawing)
-
-
 def count_drawing_brute(drawing):
     """Crossing count of a point set or a signature, by the brute-force oracle of its kind."""
     if isinstance(drawing, Signature):
@@ -91,7 +84,7 @@ def _certify(drawing, kind):
             raise ValueError("signature is not realizable")
     elif isinstance(drawing, Signature):
         raise ValueError("rectilinear payload does not hold a point set")
-    return drawing.n, count_drawing(drawing)
+    return drawing.n, count_crossings(drawing)
 
 
 def verify_payload(path, kind):
@@ -202,8 +195,7 @@ class Registry:
 
     def submit_drawing(self, drawing, provenance=""):
         """Verify an in-memory drawing and store it iff it strictly improves (kind, n)."""
-        kind = "pseudo" if isinstance(drawing, Signature) else "rect"
-        return self._verify_and_store(kind, format_drawing(drawing).encode(), provenance)
+        return self._verify_and_store(drawing.kind, format_drawing(drawing).encode(), provenance)
 
     def _verify_and_store(self, kind, payload, provenance, created_at="", claimed=None):
         """Certify the payload bytes once and store exactly those bytes iff they improve.

@@ -11,6 +11,13 @@ cheap to copy and mutate.
 Signs are stored one bit per lexicographically ranked triple (1 means +),
 LSB first inside each byte; the padding bits of the last byte are always 0.
 
+A Signature answers ``kind``, ``sweeps()`` and ``delete(v)`` like a
+``geometry.PointSet``.  Its sweeps are the rotation around each vertex with
+its window counts (``_rotation_windows``), so the point-set counters
+``geometry.count_crossings`` and ``geometry.removal_values`` count a
+realizable signature too; ``count_crossings_sig`` and ``removal_values_sig``
+are those same functions under their signature names.
+
 Realizability is decided by a hull vertex plus the signotope axiom on
 4-subsets (``is_realizable``); whether one flip keeps a realizable signature
 realizable is decided from three signs per other vertex
@@ -19,18 +26,21 @@ extreme vertex; the SVG wiring diagram starts its sweep from it too.
 """
 
 from functools import cmp_to_key
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 
-from .geometry import DegenerateError, orient, _points
-from .geometry import crossings_from_windows as _crossings_from_windows
-from .geometry import crossings_involving as _crossings_involving
+from .geometry import DegenerateError, count_crossings, orient, removal_values, _points
 
 
 class Signature:
-    """Packed triple signs with O(1) rank lookup and parity-aware queries."""
+    """Packed triple signs with O(1) rank lookup and parity-aware queries.
+
+    A pseudolinear drawing: ``kind``, ``sweeps`` and ``delete`` are shared
+    with ``geometry.PointSet``, so the counters take either kind.
+    """
 
     __slots__ = ("n", "_bits", "_arank", "_psum")
+    kind = "pseudo"
 
     def __init__(self, n, bits=None):
         if n < 3:
@@ -124,6 +134,21 @@ class Signature:
         i, j, k = sorted(t)
         r = self.rank(i, j, k)
         self._bits[r >> 3] ^= 1 << (r & 7)
+
+    def sweeps(self):
+        """Each vertex's rotation and window counts (``_rotation_windows``),
+        in index order; lazy, so one is held at a time.  They mean
+        something only for a realizable signature."""
+        return (_rotation_windows(self, v) for v in range(self.n))
+
+    def delete(self, v):
+        """The signature induced on the other vertices, indices shifted down."""
+        n = self.n
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range")
+        if n - 1 < 3:
+            raise ValueError("deletion would leave fewer than 3 vertices")
+        return _relabel(self, [x for x in range(n) if x != v])
 
     def __eq__(self, other):
         return (
@@ -237,31 +262,10 @@ def _rotation_windows(D, v):
     return rot, avals
 
 
-def count_crossings_sig(D):
-    """Crossing count of a realizable signature in O(n^2 log n).
-
-    The window counts of the n rotations, summed by the point-set counter's
-    formula (``geometry.crossings_from_windows``).  D must be realizable
-    (``is_realizable``): the rotations and windows mean nothing otherwise,
-    and the result need not match ``count_crossings_sig_brute``; no check is
-    made here.
-    """
-    windows = chain.from_iterable(_rotation_windows(D, v)[1] for v in range(D.n))
-    return _crossings_from_windows(D.n, windows)
-
-
-def removal_values_sig(D):
-    """cr(D minus v) for every vertex v, from one pass of rotation sweeps.
-
-    D must be realizable, as for count_crossings_sig; no check is made here.
-    """
-    n = D.n
-    if n < 4:
-        raise ValueError("need at least 4 vertices")
-    cr, involved = _crossings_involving(
-        n, (_rotation_windows(D, v) for v in range(n))
-    )
-    return [cr - involved[v] for v in range(n)]
+# The point-set counters read any drawing's sweeps; a signature must be
+# realizable (``is_realizable``), and no check is made.
+count_crossings_sig = count_crossings
+removal_values_sig = removal_values
 
 
 def _hull_order(D):
@@ -413,10 +417,5 @@ def realizable_after_flip(D, t):
 
 
 def delete_vertex(D, v):
-    """The signature induced on the other vertices, indices shifted down."""
-    n = D.n
-    if not 0 <= v < n:
-        raise ValueError(f"vertex {v} out of range")
-    if n - 1 < 3:
-        raise ValueError("deletion would leave fewer than 3 vertices")
-    return _relabel(D, [x for x in range(n) if x != v])
+    """The signature induced on the vertices other than v, indices shifted down."""
+    return D.delete(v)

@@ -82,6 +82,30 @@ def test_double_phase_passes_over_stored_doubles(tmp_path):
     assert run.registry.get("rect", 12) is not None
 
 
+def test_double_phase_stops_at_the_deadline(tmp_path, monkeypatch):
+    # the clock runs out once the doubled drawing, or else its first shrink
+    # output, is submitted: nothing after it is, and no limited search runs
+    steps = ["double(n=3)", "double(n=3)->shrink(tuple=1,n=5)"]
+    for i, last in enumerate(steps):
+        cfg = PipelineConfig(
+            kinds=("rect",), shrink_tuples=(1, 2), registry_path=str(tmp_path / last), max_n={"rect": 12}
+        )
+        run = _Run(cfg)
+        assert run.submit(TRIANGLE, "seed")
+        submitted, searched = [], []
+        submit = run.submit
+
+        def recording_submit(drawing, provenance):
+            submitted.append(provenance)
+            return submit(drawing, provenance)
+
+        monkeypatch.setattr(run, "submit", recording_submit)
+        monkeypatch.setattr(run, "out_of_time", lambda: last in submitted)
+        monkeypatch.setattr(run, "_search", lambda *args: searched.append(args) or [])
+        assert run.double_phase("rect")
+        assert submitted == steps[: i + 1] and searched == []
+
+
 def test_optimize_phase_accepts_pinned_submissions(tmp_path):
     cfg = PipelineConfig(
         top_k=3,

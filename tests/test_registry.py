@@ -85,10 +85,9 @@ def test_submit_drawing_verifies_once(reg, monkeypatch):
         assert fh.read() == format_points(K5_ONE).encode()
 
     D6 = convex_signature(6)
-    sig_counts = _counting(monkeypatch, "count_crossings_sig")
     realizable_calls = _counting(monkeypatch, "is_realizable")
     assert reg.submit_drawing(D6, "pseudo")
-    assert (len(sig_counts), len(realizable_calls)) == (1, 1)
+    assert (len(rect_counts), len(realizable_calls)) == (2, 1)
     with open(reg.get("pseudo", 6).payload_path, "rb") as fh:
         assert fh.read() == format_signature_text(D6).encode()
 

@@ -203,6 +203,11 @@ def test_rotation_matches_geometric_sweep():
         m = len(rot)
         i0 = order.index(rot[0])
         assert [order[(i0 + d) % m] for d in range(m)] == rot
+        # both kinds' sweeps: the same window around every center
+        sweeps = list(S.sweeps())
+        assert sweeps == [sweep_around(S.points, c) for c in range(n)]
+        for (order, avals), (rot, rot_avals) in zip(sweeps, signature_of(S).sweeps()):
+            assert dict(zip(order, avals)) == dict(zip(rot, rot_avals))
 
 
 # ---------------------------------------------------------------------------
