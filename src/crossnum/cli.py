@@ -151,8 +151,6 @@ def cmd_optimize(args):
     elif args.heuristic == "relocate":
         out = random_relocation(drawing, budget, progress=progress)
     else:
-        if not 0 <= args.vertex < len(drawing):
-            raise ValueError(f"vertex {args.vertex} out of range")
         out = cell_walk(
             drawing, args.vertex, budget, mode=args.mode, progress=progress
         )

@@ -161,33 +161,54 @@ def _ray_step(pts, others, cur, d):
     first when the next cell is unbounded), so positions stay small.  Returns
     None when the ray crosses no line forward or hits an arrangement vertex
     exactly.
+
+    No Fraction is made per line.  With cur = (X/w, Y/w) over one common
+    denominator w and u = b - a, the ray meets the line through a and b at
+    t = num / (w * den), where den = u x d and
+    num = u_y (X - a_x w) - u_x (Y - a_y w), both negated when den < 0 so
+    that den > 0.  Then t <= 0 is num <= 0, and two parameters compare as
+    num * den' against num' * den (w cancels), ties with the first crossing
+    tested before the second is updated.  Fractions are built only for the
+    two smallest parameters and the landing point.
     """
-    t1 = t2 = None
-    line = None
-    for i in range(len(others)):
-        ai = others[i]
+    x, y = cur
+    dx, dy = d
+    w = lcm(x.denominator, y.denominator)
+    X = x.numerator * (w // x.denominator)
+    Y = y.numerator * (w // y.denominator)
+    n1 = d1 = n2 = d2 = line = None
+    for i, ai in enumerate(others):
         ax, ay = pts[ai]
-        for j in range(i + 1, len(others)):
-            bi = others[j]
-            ux = pts[bi][0] - ax
-            uy = pts[bi][1] - ay
-            denom = ux * d[1] - uy * d[0]
-            if denom == 0:
+        rx = X - ax * w
+        ry = Y - ay * w
+        for bi in others[i + 1 :]:
+            bx, by = pts[bi]
+            ux = bx - ax
+            uy = by - ay
+            den = ux * dy - uy * dx
+            if den == 0:
                 continue
-            t = -(ux * (cur[1] - ay) - uy * (cur[0] - ax)) / denom
-            if t <= 0:
+            num = uy * rx - ux * ry
+            if den < 0:
+                num, den = -num, -den
+            if num <= 0:
                 continue
-            if t1 is None or t < t1:
-                t2 = t1
-                t1, line = t, (ai, bi)
-            elif t == t1:
+            if line is None or num * d1 < n1 * den:
+                n2, d2 = n1, d1
+                n1, d1, line = num, den, (ai, bi)
+            elif num * d1 == n1 * den:
                 return None
-            elif t2 is None or t < t2:
-                t2 = t
-    if t1 is None:
+            elif n2 is None or num * d2 < n2 * den:
+                n2, d2 = num, den
+    if line is None:
         return None
-    mid = t1 + 1 if t2 is None else _simplest_between((2 * t1 + t2) / 3, (t1 + 2 * t2) / 3)
-    return line[0], line[1], (cur[0] + mid * d[0], cur[1] + mid * d[1])
+    t1 = Fraction(n1, w * d1)
+    if n2 is None:
+        mid = t1 + 1
+    else:
+        t2 = Fraction(n2, w * d2)
+        mid = _simplest_between((2 * t1 + t2) / 3, (t1 + 2 * t2) / 3)
+    return line[0], line[1], (x + mid * dx, y + mid * dy)
 
 
 def _simplest_between(lo, hi):
@@ -223,7 +244,9 @@ def cell_walk(S, v, budget, mode="random", progress=None, on_state=None):
     ``geometry.left_table`` of the n sweeps and changes by the O(1)
     left-count delta of that flip, exact because every step is a geometric
     move.  Positions are exact rationals; the best position visited is
-    re-integerized by clearing denominators before returning.  ``mode`` is
+    re-integerized by clearing denominators before returning.  A ray step
+    (``_ray_step``) costs C(n - 1, 2) integer multiply-compares, one per
+    line, and O(1) Fractions.  ``mode`` is
     "random" (take the sampled direction) or "greedy" (sample several
     directions, take the best step).
     ``on_state`` receives (state, count) after each step, for replay and

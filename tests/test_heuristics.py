@@ -2,11 +2,13 @@
 monotonicity, and the greedy shrink against brute subset oracles.
 
 The left-count delta and the rotation tables are checked against the O(n)
-and O(n^4) 4-subset scans they replaced (_flip_delta, _involvements), kept
+and O(n^4) 4-subset scans they replaced (_flip_delta, _involvements), and
+the integer ray step against the Fraction one (_ray_step_oracle), all kept
 here as oracles."""
 
 import hashlib
 import random
+from fractions import Fraction
 from importlib import resources
 from itertools import combinations
 from math import comb, lcm
@@ -31,6 +33,8 @@ from crossnum.heuristics import (
     _left_delta,
     _left_update,
     _pair_tables,
+    _ray_step,
+    _simplest_between,
     cell_walk,
     random_relocation,
     shrink,
@@ -198,6 +202,52 @@ def test_relocation_seeded_outputs_pinned():
         "ad8916bb6ead835e3db0ce36dda79e8b77d1c97fa50c43ea4a9eba348d0057f4",
         "145ebbd87b4a1c5a29c60c866819294122a0de31621cf4bb591da44157805050",
         "697a69a37418f14189883c7fff27f211c0f3d0ca8e7b34b145f62c16eeb78fdf",
+    ]
+
+
+def test_cell_walk_seeded_outputs_pinned():
+    # sha256 of the output drawings and of the positions and counts passed
+    # to on_state, recorded while every ray step still built a Fraction per
+    # line: both modes on the first 24 and 48 points of k2643 and on the
+    # doubling chain at 48 (where no walk improves, so the trail is what
+    # pins the steps).
+    chain48 = PointSet(((0, 0), (1, 0), (0, 1)))
+    while chain48.n < 48:
+        chain48, _ = double_points(chain48, halving_matching(chain48))
+    runs = []
+    for mode, steps in (("random", 60), ("greedy", 30)):
+        runs += [(_k2643(24), v, seed, mode, steps) for v, seed in ((0, 1), (11, 2), (23, 3))]
+        runs += [(_k2643(48), v, seed, mode, steps) for v, seed in ((5, 1), (30, 4))]
+        runs += [(chain48, v, seed, mode, steps) for v, seed in ((0, 1), (17, 2), (47, 3))]
+
+    def digest(S, v, seed, mode, steps):
+        trail = []
+        R = cell_walk(
+            S,
+            v,
+            SearchBudget(max_steps=steps, rng_seed=seed),
+            mode=mode,
+            on_state=lambda state, cr: trail.append((state.current_point, cr)),
+        )
+        return hashlib.sha256((format_drawing(R) + repr(trail)).encode()).hexdigest()
+
+    assert [digest(*run) for run in runs] == [
+        "766ead23c73bc283164d8297cce049b0fe7752588dd6dbe375306433c2eac2ea",
+        "b331ae7a1c7f4b67e540275a18d17516202696292c62304d12b9badfca99d0ee",
+        "565cadd2032af2f75b6004b856d47c1ccaa390b239c672fa46b364bb995dfab0",
+        "ce5ef5e37283d2f6241dcec23870c5d1a55444a55c4e0f6b552ddbfc69f3b58a",
+        "b9e26e4b568ebb9f87b0d098669f7754bcae45597452899ad47e33f59f32efe2",
+        "3d31878ce694ef836ccd3c3a6dab03d9850a0609d8150d9cc40b3df20cf12e63",
+        "df97cf21ff6698c46e583371ea72d471a790ed453cdbb800278bf43c8a88fbac",
+        "d6dd99d6364744f31d64f3b558f4a7358ebedb78475065255df31d9de5b50f56",
+        "d8bdc492a7300446d73065d46bd7f8a12d8504afa1a84c18a887830c6b71fc60",
+        "cbccba67d93f14e1ddae78d42746751fa66dbee490ea546953faf2691ee6a150",
+        "964a6105245be1f4185ab5cc238f3c10a543f25a690793aba3148013f9d53d8d",
+        "c8226007856cc4869e7ee0a15ce37e54df99e393a9c2a0d11be3cc39a5ea6cdd",
+        "148bc4da15e078bac976a5cb316d4b19d280859d4389c25fe601f6b5d21a7652",
+        "df41394c4bbb79f6f568f75e3d6c148460e2755d1d7110eba9e52938915be569",
+        "1e69e6f06d8e44ed44c34e45d6252c6ed07613bbc2813f703f24ae3928fb5875",
+        "8bd82dd29b687a849d046d5cd5bb714fcfe92ef0f2c975de4b0f9de107c37c50",
     ]
 
 
@@ -495,6 +545,99 @@ def test_cell_walk_table_count_matches_recount():
 
             cell_walk(S, v, SearchBudget(max_steps=25, rng_seed=seed), mode=mode, on_state=check)
             assert len(logged) == 25
+
+
+def _ray_step_oracle(pts, others, cur, d):
+    """The ray step with one Fraction parameter per line, which the integer
+    kernel replaced."""
+    t1 = t2 = None
+    line = None
+    for i in range(len(others)):
+        ai = others[i]
+        ax, ay = pts[ai]
+        for j in range(i + 1, len(others)):
+            bi = others[j]
+            ux = pts[bi][0] - ax
+            uy = pts[bi][1] - ay
+            denom = ux * d[1] - uy * d[0]
+            if denom == 0:
+                continue
+            t = -(ux * (cur[1] - ay) - uy * (cur[0] - ax)) / denom
+            if t <= 0:
+                continue
+            if t1 is None or t < t1:
+                t2 = t1
+                t1, line = t, (ai, bi)
+            elif t == t1:
+                return None
+            elif t2 is None or t < t2:
+                t2 = t
+    if t1 is None:
+        return None
+    mid = t1 + 1 if t2 is None else _simplest_between((2 * t1 + t2) / 3, (t1 + 2 * t2) / 3)
+    return line[0], line[1], (cur[0] + mid * d[0], cur[1] + mid * d[1])
+
+
+def _check_ray_step(pts, v, cur, d):
+    others = [u for u in range(len(pts)) if u != v]
+    got = _ray_step(pts, others, cur, d)
+    assert got == _ray_step_oracle(pts, others, cur, d)
+    return got
+
+
+def test_ray_step_matches_fraction_oracle():
+    F = Fraction
+    # fixed (0, 0), (4, 0), (0, 4), (4, 4): lines y = 0, x = 0, y = x,
+    # x + y = 4, x = 4, y = 4; vertex 4 moves
+    box = [(0, 0), (4, 0), (0, 4), (4, 4), (0, 0)]
+    # straight up from (2, 1) meets y = x and x + y = 4 at once, at (2, 2)
+    assert _check_ray_step(box, 4, (F(2), F(1)), (0, 1)) is None
+    # along +x: parallel to y = 0 and y = 4; x + y = 4 at t = 1, x = 4 at t = 2
+    assert _check_ray_step(box, 4, (F(2), F(1)), (1, 0)) == (1, 2, (F(7, 2), F(1)))
+    # from an unbounded cell, moving away from all six lines
+    assert _check_ray_step(box, 4, (F(10), F(-1)), (2, -1)) is None
+    # only x + y = 4 lies ahead: one unit past it
+    assert _check_ray_step(box, 4, (F(6), F(-1)), (0, -1)) == (1, 2, (F(6), F(-3)))
+    # from a point on y = 0 the crossing at t = 0 is not ahead
+    assert _check_ray_step(box, 4, (F(2), F(0)), (1, 1)) == (1, 2, (F(7, 2), F(3, 2)))
+
+    chain = PointSet(((0, 0), (1, 0), (0, 1)))
+    sets = []
+    while chain.n < 48:
+        chain, _ = double_points(chain, halving_matching(chain))
+        if chain.n in (24, 48):
+            sets.append(chain)
+    sets += [_k2643(24), _k2643(48)]
+    rng = random.Random(14)
+    for S in sets:
+        pts = [tuple(p) for p in S]
+        v = rng.randrange(S.n)
+        positions = []
+        for mode in ("random", "greedy"):
+            cell_walk(
+                S,
+                v,
+                SearchBudget(max_steps=4, rng_seed=rng.randrange(100)),
+                mode=mode,
+                on_state=lambda state, cr: positions.append(state.current_point),
+            )
+        # the start, the walk's positions, and nearby points with large
+        # denominators (a rational offset of ~200 bits)
+        big = F(rng.getrandbits(200) + 1, rng.getrandbits(200) | 1)
+        positions += [(F(pts[v][0]), F(pts[v][1])), (positions[0][0] + big, positions[0][1] - big)]
+        for x, y in positions:
+            a, b = rng.sample([u for u in range(S.n) if u != v], 2)
+            w = lcm(x.denominator, y.denominator)
+            directions = [
+                (rng.randint(-10**9, 10**9), rng.randint(-10**9, 10**9)),
+                (rng.randint(-3, 3) or 1, rng.randint(-3, 3)),
+                # parallel to the line through a and b
+                (pts[b][0] - pts[a][0], pts[b][1] - pts[a][1]),
+                # straight at a fixed point, a vertex of the arrangement
+                (int((pts[a][0] - x) * w), int((pts[a][1] - y) * w)),
+            ]
+            for d in directions:
+                _check_ray_step(pts, v, (x, y), d)
 
 
 def _nonrealizable7():
