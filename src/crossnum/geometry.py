@@ -7,10 +7,12 @@ graph drawn with straight edges equals the number of 4-point subsets in
 convex position, which is what the counters compute.
 
 The fast counter uses one angular sweep per point.  Around a sweep center,
-directions to the other points are split into two half-turn blocks and sorted
-by an exact integer key, scaled once for the whole point set, so collinear
-points show up as key collisions and everything stays in pure integer
-arithmetic.
+each direction to another point is folded into the upper half turn and
+sorted by an integer floor of its scaled slope, so collinear points show up
+as key collisions and everything stays in pure integer arithmetic.  A key
+has two levels (``_key_scale``): a one-word key sorts the directions first,
+and the exact key, scaled once for the whole point set, is computed only for
+directions whose one-word keys tie.
 """
 
 from bisect import bisect_left
@@ -89,10 +91,20 @@ class PointSet:
 
     def sweeps(self):
         """Each point's (order, avals) of ``sweep_around``, in index order,
-        all under one key scale; lazy, so one sweep is held at a time."""
+        all under one key scale; lazy, so one sweep is held at a time.
+
+        The sweeps sort by one-word keys first when the exact keys are at
+        least four words wide, until one center redoes more than half of its
+        directions at full scale (as the sets built by doubling do); the
+        rest of the set then uses full-scale keys (``_key_scale``).
+        """
         pts = self.points
         shift, axis = _key_scale(_span(pts))
-        return (_sweep(pts, v, shift, axis)[:2] for v in range(len(pts)))
+        coarse = shift >= 4 * _WORD
+        for v in range(len(pts)):
+            order, avals, _, redone = _sweep(pts, v, shift, axis, coarse)
+            coarse = coarse and 2 * redone <= len(pts) - 1
+            yield order, avals
 
 
 @dataclass(frozen=True)
@@ -117,6 +129,9 @@ def _span(pts):
     return max(max(xs) - min(xs), max(ys) - min(ys))
 
 
+_WORD = 64  # fraction bits of the one-word sweep key
+
+
 def _key_scale(span):
     """Key shift s and axis key for every direction of a set of the given span.
 
@@ -126,71 +141,98 @@ def _key_scale(span):
     keeps them on distinct keys, and a key is one shift and one floor
     division.  Every such key lies strictly between -2^3b and 2^3b; the
     axis key is -2^3b.
+
+    That exact key divides a 3b-bit number by a b-bit one.  Most sets tell
+    their directions apart with far fewer than 2b fraction bits, so a sweep
+    can sort first by the one-word key, the floor of the slope scaled by
+    2^64, with axis key -2^(b + 64) below every other: each is the exact key
+    shifted right by s - 64.  Flooring is monotone, so distinct one-word
+    keys order their slopes strictly, and only directions whose one-word
+    keys tie need their exact keys.  ``PointSet.sweeps`` uses one-word keys
+    when s >= 256, and full-scale keys for the rest of a set once one
+    center redoes more than half of its directions; every other sweep uses
+    full-scale keys only.
     """
     bits = span.bit_length()
     return 2 * bits, -(1 << 3 * bits)
 
 
-def _sweep(pts, center, shift, axis):
-    """The sweep of sweep_around under a given key scale, plus its sorted blocks.
+def _keyed(pts, center, indices, shift, axis):
+    """(key, index, upper) of each given index's direction around pts[center].
 
-    Returns (order, avals, up, low), where up and low are the upper and lower
-    half-turn blocks as sorted (key, index) lists.  A direction (dx, dy) is
-    folded into the upper half turn and keyed by (-dx << shift) // dy, so a
-    direction and its opposite share a key; horizontal directions get the
-    axis key.  shift and axis must come from _key_scale of a span at least
-    that of pts.
+    A direction (dx, dy) is folded into the upper half turn and keyed by
+    (-dx << shift) // dy, so a direction and its opposite share a key;
+    horizontal directions get the axis key, and upper says whether the
+    direction itself lies in the upper half turn.  The center is passed
+    over; any other copy of it raises DegenerateError.
     """
     cx, cy = pts[center]
-    up = []
-    low = []
-    for idx, (x, y) in enumerate(pts):
-        dx = x - cx
+    out = []
+    for idx in indices:
+        x, y = pts[idx]
         dy = y - cy
-        if dy > 0:
-            up.append(((-dx << shift) // dy, idx))
-        elif dy < 0:
-            low.append(((dx << shift) // -dy, idx))
-        elif dx > 0:
-            up.append((axis, idx))
-        elif dx < 0:
-            low.append((axis, idx))
+        if dy:
+            out.append((((cx - x) << shift) // dy, idx, dy > 0))
+        elif x != cx:
+            out.append((axis, idx, x > cx))
         elif idx != center:
             raise DegenerateError("repeated point at index %d" % idx)
-    up.sort()
-    low.sort()
+    return out
 
-    nu = len(up)
-    nl = len(low)
-    order = []
+
+def _ties(keyed):
+    """Positions t of a sorted keyed list whose key equals the one before."""
+    return [t for t in range(1, len(keyed)) if keyed[t][0] == keyed[t - 1][0]]
+
+
+def _sweep(pts, center, shift, axis, coarse=False):
+    """The sweep of sweep_around under a given key scale, plus its sorted keys.
+
+    Returns (order, avals, keyed, redone).  keyed lists ``_keyed``'s
+    (key, index, upper) of every other point in sorted order: the upper
+    half turn's events counterclockwise, each a point's direction (upper)
+    or its antipode.  shift and axis must come from _key_scale of a span at
+    least that of pts.  Equal full-scale keys are equal or opposite
+    directions, so they raise DegenerateError.
+
+    With coarse set, keyed is sorted by one-word keys first, and only the
+    runs of equal one-word keys are keyed again at full scale and re-sorted;
+    redone counts them (0 without coarse), and keyed keeps one-word keys
+    outside the runs.  order and avals are the same either way.
+    """
+    ks = _WORD if coarse else shift
+    keyed = sorted(_keyed(pts, center, range(len(pts)), ks, axis >> (shift - ks)))
+    ties = _ties(keyed)
+    redone = 0
+    if ties and coarse:
+        # Exact keys keep the order of distinct one-word keys, so the members
+        # of every run sort together back into the runs' positions.
+        run = sorted(set(ties).union(t - 1 for t in ties))
+        exact = sorted(_keyed(pts, center, [keyed[t][1] for t in run], shift, axis))
+        for t, e in zip(run, exact):
+            keyed[t] = e
+        ties = _ties(exact)
+        redone = len(run)
+    if ties:
+        raise DegenerateError("collinear points through sweep center")
+    order = [idx for _, idx, up in keyed if up]
+    nu = len(order)
+    nl = len(keyed) - nu
+    order += [idx for _, idx, up in keyed if not up]
+    # The i-th upper direction has in its window the later upper directions
+    # and the j lower points whose antipodes come before it; symmetrically
+    # for the lower points.
     avals = []
-    # Window counts by merging the two sorted blocks.  For an upper element,
-    # later upper elements plus the lower elements with a strictly smaller
-    # folded key fall in its window; symmetrically for lower elements.  Equal
-    # keys are equal or opposite directions.
-    j = 0
-    prev = None
-    for i, (key, idx) in enumerate(up):
-        if key == prev:
-            raise DegenerateError("collinear points through sweep center")
-        prev = key
-        while j < nl and low[j][0] < key:
+    lower = []
+    i = j = 0
+    for _, _, up in keyed:
+        if up:
+            avals.append(nu - 1 - i + j)
+            i += 1
+        else:
+            lower.append(nl - 1 - j + i)
             j += 1
-        if j < nl and low[j][0] == key:
-            raise DegenerateError("collinear points through sweep center")
-        order.append(idx)
-        avals.append(nu - 1 - i + j)
-    j = 0
-    prev = None
-    for i, (key, idx) in enumerate(low):
-        if key == prev:
-            raise DegenerateError("collinear points through sweep center")
-        prev = key
-        while j < nu and up[j][0] < key:
-            j += 1
-        order.append(idx)
-        avals.append(nl - 1 - i + j)
-    return order, avals, up, low
+    return order, avals + lower, keyed, redone
 
 
 def sweep_around(pts, center):
@@ -389,12 +431,12 @@ def _arc_add(w, t, k, d):
 class _Rotations:
     """The angular sweeps around every point of a drawing, kept across moves.
 
-    Around each center the tables hold the sorted upper and lower key blocks
-    of ``_sweep``, each closed by a sentinel above every key, the window
-    counts in rotation order with their prefix sums, and every other point's
-    key and block.  The keys use ``_key_scale(span)``, so they stay exact
-    while the points and the candidates span less than ``limit``, the power
-    of two above span (``covers``).
+    Around each center the tables hold ``_sweep``'s sorted full-scale keys,
+    split into upper and lower blocks, each closed by a sentinel above every
+    key, the window counts in rotation order with their prefix sums, and
+    every other point's key and block.  The keys use ``_key_scale(span)``,
+    so they stay exact while the points and the candidates span less than
+    ``limit``, the power of two above span (``covers``).
 
     A batch of candidates for an anchor p is scored without rebuilding any
     sweep.  Around each other center v, p's stored key finds its position
@@ -419,15 +461,13 @@ class _Rotations:
         self.crossings = crossings_from_windows(len(self.pts), windows)
 
     def _center(self, v):
-        _, avals, up, low = _sweep(self.pts, v, self.shift, self.axis)
+        _, avals, keyed, _ = _sweep(self.pts, v, self.shift, self.axis)
         where = [None] * len(self.pts)
-        for key, w in up:
-            where[w] = (key, True)
-        for key, w in low:
-            where[w] = (key, False)
+        for key, w, upper in keyed:
+            where[w] = (key, upper)
         top = -self.axis
-        ukeys = [key for key, _ in up] + [top]
-        lkeys = [key for key, _ in low] + [top]
+        ukeys = [key for key, _, upper in keyed if upper] + [top]
+        lkeys = [key for key, _, upper in keyed if not upper] + [top]
         return ukeys, lkeys, avals, list(accumulate(avals, initial=0)), where
 
     def covers(self, candidates):

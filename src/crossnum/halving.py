@@ -80,19 +80,20 @@ def _balancing_gaps(pts, v):
     counterclockwise from the positive x axis.
 
     A gap lies between consecutive events: the directions from pts[v] to the
-    other points and their antipodes.  _sweep's upper and lower blocks,
-    merged by key, are the upper half turn's events in order (an upper entry
-    is a true direction, a lower one an antipode; keys never tie, since
-    _sweep raises on a tie); the lower half turn is the same list negated.  With m = n - 1, window(q) points lie left just
-    after q's true direction and m - window(q) just after its antipode.  A
-    representative is the sum of the gap's two bounding event vectors.
+    other points and their antipodes.  _sweep's sorted keyed list holds the
+    upper half turn's events in order (an upper entry is a true direction, a
+    lower one an antipode; keys never tie, since _sweep raises on a tie);
+    the lower half turn is the same list negated.  With m = n - 1, window(q)
+    points lie left just after q's true direction and m - window(q) just
+    after its antipode.  A representative is the sum of the gap's two
+    bounding event vectors.
     """
     m = len(pts) - 1
     cx, cy = pts[v]
-    order, avals, up, low = _sweep(pts, v, *_key_scale(_span(pts)))
+    order, avals, keyed, _ = _sweep(pts, v, *_key_scale(_span(pts)))
     window = dict(zip(order, avals))
     half = []
-    for _, q, true in sorted([(k, q, True) for k, q in up] + [(k, q, False) for k, q in low]):
+    for _, q, true in keyed:
         d = (pts[q][0] - cx, pts[q][1] - cy)
         half.append((d, window[q]) if true else ((-d[0], -d[1]), m - window[q]))
     events = half + [((-dx, -dy), m - left) for (dx, dy), left in half]

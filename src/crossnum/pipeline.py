@@ -118,6 +118,7 @@ class _Run:
         self.cfg = cfg
         self.registry = Registry(cfg.registry_path)
         self.t0 = time.monotonic()
+        self.no_matching = set()  # (kind, n, crossings) of records without a halving matching
         self.report = {
             "cycles": 0,
             "accepted": [],
@@ -216,9 +217,11 @@ class _Run:
     def double_phase(self, kind):
         """Double the best record whose double can improve the registry;
         shrink and search its outputs.  Only the first top_k records report
-        a skip for size or a missing matching.  The clock is read before
-        each shrink tuple size and search and after each shrink output, so
-        the phase ends within one shrink step or search of the deadline."""
+        a skip for size or a missing matching, and a record found without a
+        matching is passed over for the rest of the run.  The clock is read
+        before each shrink tuple size and search and after each shrink
+        output, so the phase ends within one shrink step or search of the
+        deadline."""
         recs = self.registry.best_records(kind)
         stored = {r.n: r.crossings for r in recs}
         for i, rec in enumerate(recs):
@@ -230,10 +233,13 @@ class _Run:
                 continue
             if stored.get(2 * rec.n, inf) <= predicted_double(kind, rec.n, rec.crossings):
                 continue
+            if (kind, rec.n, rec.crossings) in self.no_matching:
+                continue
             drawing = load_drawing(rec.payload_path)
             try:
                 matching = halving_matching(drawing) if kind == "rect" else halving_matching_sig(drawing)
                 if not matching:
+                    self.no_matching.add((kind, rec.n, rec.crossings))
                     if reported:
                         self.report["no_matching"].append({"kind": kind, "n": rec.n})
                         self.log(f"{kind}: n={rec.n} has no halving matching, trying next-best")

@@ -24,7 +24,7 @@ from .doubling import (
 )
 from .geometry import DegenerateError, count_crossings, count_crossings_brute
 from .io import ParseError, format_drawing, load_drawing, parse_drawing
-from .signatures import Signature, count_crossings_sig_brute, is_realizable
+from .signatures import count_crossings_sig_brute, is_realizable
 
 INDEX_NAME = "index.json"
 _SUFFIX = {"rect": ".pts", "pseudo": ".sig"}
@@ -64,9 +64,15 @@ def bound_for(kind, n, crossings):
     return rect_bound(n, crossings) if kind == "rect" else pseudo_bound(n, crossings)
 
 
+_WRONG_KIND = {
+    "rect": "rectilinear payload does not hold a point set",
+    "pseudo": "pseudolinear payload does not hold a signature",
+}
+
+
 def count_drawing_brute(drawing):
     """Crossing count of a point set or a signature, by the brute-force oracle of its kind."""
-    if isinstance(drawing, Signature):
+    if drawing.kind == "pseudo":
         return count_crossings_sig_brute(drawing)
     return count_crossings_brute(drawing)
 
@@ -77,13 +83,10 @@ def _certify(drawing, kind):
     Raises DegenerateError/ValueError for drawings of the wrong type or that
     fail general position or realizability.
     """
-    if kind == "pseudo":
-        if not isinstance(drawing, Signature):
-            raise ValueError("pseudolinear payload does not hold a signature")
-        if not is_realizable(drawing):
-            raise ValueError("signature is not realizable")
-    elif isinstance(drawing, Signature):
-        raise ValueError("rectilinear payload does not hold a point set")
+    if drawing.kind != kind:
+        raise ValueError(_WRONG_KIND[kind])
+    if kind == "pseudo" and not is_realizable(drawing):
+        raise ValueError("signature is not realizable")
     return drawing.n, count_crossings(drawing)
 
 

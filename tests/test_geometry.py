@@ -2,12 +2,15 @@
 
 import random
 from functools import cmp_to_key
+from importlib import resources
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossnum import geometry
+from crossnum.doubling import double_points
 from crossnum.geometry import (
     CandidateBatch,
     DegenerateError,
@@ -22,6 +25,8 @@ from crossnum.geometry import (
     segments_cross,
     sweep_around,
 )
+from crossnum.halving import halving_matching
+from crossnum.io import load_points
 
 from conftest import convex_points, general_position, rand_general
 
@@ -290,6 +295,119 @@ def test_key_scale_boundary():
         sweep_around(col, 0)
     with pytest.raises(DegenerateError):
         count_crossings(col)
+
+
+def _cross_sweep(pts, c):
+    """sweep_around's (order, avals) from exact cross products."""
+    order = _angular_order(pts, c)
+    d = [(x - pts[c][0], y - pts[c][1]) for x, y in pts]
+    return order, [sum(1 for e in d if d[q][0] * e[1] - d[q][1] * e[0] > 0) for q in order]
+
+
+def _spied_sweeps(monkeypatch, S):
+    """list(S.sweeps()), and the (coarse, redone) of each sweep it made."""
+    calls = []
+    real = geometry._sweep
+
+    def spy(pts, center, shift, axis, coarse=False):
+        out = real(pts, center, shift, axis, coarse)
+        calls.append((coarse, out[3]))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_sweep", spy)
+        return list(S.sweeps()), calls
+
+
+def _horizontal_pairs(rng, pairs, lim):
+    """A point set in general position made of pairs level with each other."""
+    while True:
+        pts = []
+        for _ in range(pairs):
+            y = rng.randint(-lim, lim)
+            x1 = rng.randint(-lim, lim)
+            x2 = rng.randint(-lim, lim)
+            pts += [(x1, y), (x2, y)]
+        if len(set(pts)) == len(pts) and general_position(pts):
+            return PointSet(tuple(pts))
+
+
+def test_two_level_sweeps_match_sweep_around(monkeypatch):
+    golden = load_points(str(resources.files("crossnum.data") / "k2643.txt"))
+    rng = random.Random(151)
+    redone = 0
+    for n in (24, 96, 200):
+        # seeded samples, and runs of consecutive points, which are close
+        # enough to tie at one word
+        sample = sorted(rng.sample(range(golden.n), n))
+        for S in (PointSet(tuple(golden[i] for i in sample)), PointSet(tuple(golden[:n]))):
+            got, calls = _spied_sweeps(monkeypatch, S)
+            assert got == [sweep_around(S.points, c) for c in range(n)], n
+            assert all(coarse for coarse, _ in calls)  # 319-bit coordinates
+            redone += sum(r for _, r in calls)
+    assert redone > 1000
+    # the doubling chain ties at one word around almost every center, so a
+    # set switches to full-scale keys after its first sweep; below 128-bit
+    # spans the one-word keys are not tried
+    S = PointSet(((0, 0), (1, 0), (0, 1)))
+    while S.n < 192:
+        S, _ = double_points(S, halving_matching(S))
+        got, calls = _spied_sweeps(monkeypatch, S)
+        assert got == [sweep_around(S.points, c) for c in range(S.n)], S.n
+        flags = [coarse for coarse, _ in calls]
+        if _span(S).bit_length() >= 128:
+            assert flags == [True] + [False] * (S.n - 1) and 2 * calls[0][1] > S.n - 1
+        else:
+            assert not any(flags)
+    for lim in (10**3, 2**140):
+        for _ in range(6):
+            S = _horizontal_pairs(rng, 6, lim)
+            assert list(S.sweeps()) == [_cross_sweep(S.points, c) for c in range(S.n)]
+
+
+def test_coarse_tie_resolved_at_full_scale(monkeypatch):
+    # Around the origin, points 1, 2 and 3 have folded slopes -1/D, -2/D
+    # and -3/D: one key at one word, and the reverse of index order at full
+    # scale.  Point 4 lies just above the axis and point 5 on it.
+    D = 1 << 130
+    pts = [(0, 0), (1, D), (2, D), (-3, -D), (D - 1, 1), (5, 0), (-D, 7)]
+    assert general_position(pts) and _span(pts).bit_length() >= 128
+    S = PointSet(tuple(pts))
+    got, calls = _spied_sweeps(monkeypatch, S)
+    assert got == [_cross_sweep(pts, c) for c in range(len(pts))]
+    assert calls[0] == (True, 3)
+    order = got[0][0]
+    assert order.index(2) < order.index(1) and order[:2] == [5, 4]
+    assert count_crossings(S) == count_crossings_brute(S)
+    # a center that redoes exactly half of its directions keeps one-word keys
+    pts = [(0, 0), (1, D), (2, D), (D, 5), (-D, 7)]
+    assert general_position(pts)
+    got, calls = _spied_sweeps(monkeypatch, PointSet(tuple(pts)))
+    assert got == [_cross_sweep(pts, c) for c in range(len(pts))]
+    assert calls[0] == (True, 2) and all(coarse for coarse, _ in calls)
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        [(0, 0), (1, 1 << 130), (2, 1 << 131), (3, 1 << 130)],  # collinear in a tie
+        [(0, 0), (1, 1 << 130), (-2, -(1 << 131)), (3, 1 << 130)],  # opposite in a tie
+        [(0, 0), (5, 0), (-7, 0), (3, 1 << 130)],  # level on both sides
+        [(0, 0), (1, 1 << 130), (0, 0)],  # repeated point
+    ],
+)
+def test_two_level_sweeps_raise_on_degenerate(pts):
+    # other points at angles apart, so that the sweeps around the
+    # degenerate points keep one-word keys
+    D = 1 << 130
+    S = PointSet(tuple(pts + [(D, 5), (-D, 4), (D // 2, -D), (-D, -(D // 3))]))
+    assert _span(S).bit_length() >= 128
+    with pytest.raises(DegenerateError):
+        list(S.sweeps())
+    with pytest.raises(DegenerateError):
+        count_crossings(S)
+    with pytest.raises(DegenerateError):
+        sweep_around(S.points, 0)
 
 
 def test_rotation_tables_follow_moves():

@@ -82,6 +82,24 @@ def test_double_phase_passes_over_stored_doubles(tmp_path):
     assert run.registry.get("rect", 12) is not None
 
 
+def test_double_phase_remembers_records_without_matching(tmp_path, monkeypatch):
+    cfg = PipelineConfig(kinds=("rect",), top_k=2, registry_path=str(tmp_path / "reg"), max_n={"rect": 12})
+    run = _Run(cfg)
+    assert run.submit(K4_INNER, "k4") and run.submit(TRIANGLE, "seed")
+    seen = []
+    real = pipeline.halving_matching
+
+    def matcher(S):
+        seen.append(S)
+        return real(S)
+
+    monkeypatch.setattr(pipeline, "halving_matching", matcher)
+    run.double_phase("rect")
+    run.double_phase("rect")
+    assert seen.count(K4_INNER) == 1
+    assert run.report["no_matching"] == [{"kind": "rect", "n": 4}]
+
+
 def test_double_phase_stops_at_the_deadline(tmp_path, monkeypatch):
     # the clock runs out once the doubled drawing, or else its first shrink
     # output, is submitted: nothing after it is, and no limited search runs

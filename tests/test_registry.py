@@ -121,6 +121,12 @@ def test_tampered_records_rejected(reg, tmp_path):
     # a points payload cannot certify a pseudolinear record
     res = reg.submit(DrawingRecord("pseudo", 5, 1, None, path, ""))
     assert not res and "signature" in res.reason
+    assert res.reason == "pseudolinear payload does not hold a signature"
+    # nor a signature payload a rectilinear one
+    sig = str(tmp_path / "c5.sig")
+    save_signature(convex_signature(5), sig)
+    res = reg.submit(DrawingRecord("rect", 5, 5, None, sig, ""))
+    assert not res and res.reason == "rectilinear payload does not hold a point set"
 
 
 def test_pseudo_records(reg, tmp_path):
