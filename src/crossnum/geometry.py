@@ -15,7 +15,7 @@ and the exact key, scaled once for the whole point set, is computed only for
 directions whose one-word keys tie.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations
 from math import comb
@@ -150,8 +150,10 @@ def _key_scale(span):
     keys order their slopes strictly, and only directions whose one-word
     keys tie need their exact keys.  ``PointSet.sweeps`` uses one-word keys
     when s >= 256, and full-scale keys for the rest of a set once one
-    center redoes more than half of its directions; every other sweep uses
-    full-scale keys only.
+    center redoes more than half of its directions.  The relocation tables
+    (``_Rotations``) build their sweeps with full-scale keys, keep beside
+    them each key shifted right by s - 64, and place every candidate
+    direction by its one-word key, computing the exact key only on a tie.
     """
     bits = span.bit_length()
     return 2 * bits, -(1 << 3 * bits)
@@ -428,36 +430,54 @@ def _arc_add(w, t, k, d):
     return [a + d for a in w[:t]] + w[t:s] + [a + d for a in w[s:]]
 
 
+def _without(keys, words, i):
+    """A key block and its one-word image without entry i, as new lists; one
+    list when the image is the block itself."""
+    out = keys[:i] + keys[i + 1:]
+    return out, out if words is keys else words[:i] + words[i + 1:]
+
+
+def _with(keys, words, i, key, word):
+    """A key block and its one-word image with key and word inserted at i, as
+    new lists; one list when the image is the block itself."""
+    out = keys[:i] + [key] + keys[i:]
+    return out, out if words is keys else words[:i] + [word] + words[i:]
+
+
 class _Rotations:
     """The angular sweeps around every point of a drawing, kept across moves.
 
     Around each center the tables hold ``_sweep``'s sorted full-scale keys,
     split into upper and lower blocks, each closed by a sentinel above every
-    key, the window counts in rotation order with their prefix sums, and
-    every other point's key and block.  The keys use ``_key_scale(span)``,
-    so they stay exact while the points and the candidates span less than
-    ``limit``, the power of two above span (``covers``).
+    key, the one-word image of each block (every key shifted right by
+    ``wshift`` = s - 64, which floors the slope at scale 2^64; the block
+    itself when s <= 64), the window counts in rotation order with their
+    prefix sums, and every other point's key and block.  The keys use
+    ``_key_scale(span)``, so they stay exact while the points and the
+    candidates span less than ``limit``, the power of two above span
+    (``covers``).
 
     A batch of candidates for an anchor p is scored without rebuilding any
     sweep.  Around each other center v, p's stored key finds its position
     by one bisection.  The points whose window contains p are the arc of
     positions in the half turn before it, so taking p out is one deletion
-    from a key block and a decrement over that arc: small-int work, once
-    per center and batch, after which every candidate is scored as against
-    a fresh sweep of the drawing without p.  cr(S - p) is cr(S) minus p's
-    involvement, the sum of C(window, 2) around p minus ``_containing`` of
-    p around every other center.  Moving p re-sweeps around p only; around
-    every other center p's key is deleted and inserted again (a direction
-    and its opposite share a key, so it is read off p's new sweep), with the
-    same arc updates.
+    from a key block and its image and a decrement over that arc: small-int
+    work, once per center and batch, after which every candidate is scored
+    as against a fresh sweep of the drawing without p.  cr(S - p) is cr(S)
+    minus p's involvement, the sum of C(window, 2) around p minus
+    ``_containing`` of p around every other center.  Moving p re-sweeps
+    around p only; around every other center p's key is deleted and
+    inserted again (a direction and its opposite share a key, so it is read
+    off p's new sweep), with the same arc updates.
     """
 
     def __init__(self, pts, span):
         self.pts = [tuple(p) for p in pts]
         self.limit = 1 << span.bit_length()
         self.shift, self.axis = _key_scale(span)
+        self.wshift = max(0, self.shift - _WORD)
         self.centers = [self._center(v) for v in range(len(self.pts))]
-        windows = chain.from_iterable(c[2] for c in self.centers)
+        windows = chain.from_iterable(c[4] for c in self.centers)
         self.crossings = crossings_from_windows(len(self.pts), windows)
 
     def _center(self, v):
@@ -468,55 +488,67 @@ class _Rotations:
         top = -self.axis
         ukeys = [key for key, _, upper in keyed if upper] + [top]
         lkeys = [key for key, _, upper in keyed if not upper] + [top]
-        return ukeys, lkeys, avals, list(accumulate(avals, initial=0)), where
+        ws = self.wshift
+        uw = [key >> ws for key in ukeys] if ws else ukeys
+        lw = [key >> ws for key in lkeys] if ws else lkeys
+        return ukeys, lkeys, uw, lw, avals, list(accumulate(avals, initial=0)), where
 
     def covers(self, candidates):
         """True when the points and the candidates span less than limit."""
         return _span(self.pts + list(candidates)) < self.limit
 
     def _drop(self, v, p):
-        """Center v's key blocks and window counts without p, and p's position.
+        """Center v's key blocks, their images and window counts without p,
+        and p's position.
 
-        The block p leaves and the window counts are new lists."""
-        ukeys, lkeys, avals, _, where = self.centers[v]
+        The block p leaves, its image and the window counts are new lists."""
+        ukeys, lkeys, uw, lw, avals, _, where = self.centers[v]
         key, upper = where[p]
         if upper:
             t = bisect_left(ukeys, key)
-            ukeys = ukeys[:t] + ukeys[t + 1:]
+            ukeys, uw = _without(ukeys, uw, t)
         else:
             i = bisect_left(lkeys, key)
             t = len(ukeys) - 1 + i
-            lkeys = lkeys[:i] + lkeys[i + 1:]
+            lkeys, lw = _without(lkeys, lw, i)
         w = _arc_add(avals, t, len(avals) - 1 - avals[t], -1)
         del w[t]
-        return ukeys, lkeys, w, t
+        return ukeys, lkeys, uw, lw, w, t
 
     def evaluate(self, anchor, candidates):
         """Crossing count of the drawing with the anchor moved to each candidate.
 
         With the anchor taken out, m points stay fixed.  A candidate q costs,
-        per fixed point v, one key for d = q - v and two bisections into v's
-        key blocks.  They give a_v, the number of fixed points in the open
-        half turn after d, and the window sum over the points before d, which
-        is what ``_containing`` needs for the triangles qvw containing a
-        point.  No sweep around q is needed for the triangles containing q: a
-        point w other than v lies left of q->v exactly when it lies right of
-        v->q, so v's window around q is (m - 1) - a_v.  A candidate that
-        repeats a fixed point, or whose key equals a stored key (it lies on a
+        per fixed point v, one one-word key for d = q - v, the floor of d's
+        exact key shifted right by wshift, and two bisections into the
+        one-word images of v's key blocks.  Flooring is monotone, so the
+        one-word keys are a monotone image of the exact keys: a one-word key
+        equal to no stored one is placed where its exact key would be, and
+        no stored exact key can equal it.  Only on a tie is the exact key
+        computed, and bisected within the tied run of each block.  The
+        positions give a_v, the number of fixed points in the open half turn
+        after d, and the window sum over the points before d, which is what
+        ``_containing`` needs for the triangles qvw containing a point.  No
+        sweep around q is needed for the triangles containing q: a point w
+        other than v lies left of q->v exactly when it lies right of v->q,
+        so v's window around q is (m - 1) - a_v.  A candidate that repeats a
+        fixed point, or whose exact key equals a stored key (it lies on a
         line through two fixed points), yields None.  The caller checks
         ``covers`` first.
         """
         m = len(self.pts) - 1
-        cr = self.crossings - sum(a * (a - 1) // 2 for a in self.centers[anchor][2])
+        shift = self.shift
+        axis = self.axis
+        ws = shift - self.wshift
+        axw = axis >> self.wshift
+        cr = self.crossings - sum(a * (a - 1) // 2 for a in self.centers[anchor][4])
         views = []
         for v, (x, y) in enumerate(self.pts):
             if v != anchor:
-                ukeys, lkeys, w, t = self._drop(v, anchor)
-                cr += _containing(m, self.centers[v][3], t)
+                ukeys, lkeys, uw, lw, w, t = self._drop(v, anchor)
+                cr += _containing(m, self.centers[v][5], t)
                 pref = list(accumulate(w, initial=0))
-                views.append((x, y, ukeys, lkeys, len(ukeys) - 1, pref, pref[-1]))
-        shift = self.shift
-        axis = self.axis
+                views.append((x, y, x << ws, ukeys, lkeys, uw, lw, len(ukeys) - 1, pref, pref[-1]))
         # a_v and (m - 1) - a_v both enter as C(., 2), so one table indexed by
         # either of them serves both.
         pair_terms = [j * (j - 1) // 2 + (m - 1 - j) * (m - 2 - j) // 2 for j in range(m)]
@@ -524,24 +556,26 @@ class _Rotations:
         results = []
         for qx, qy in candidates:
             total = base
-            for vx, vy, ukeys, lkeys, nu, pref, tot in views:
-                dx = qx - vx
+            qxw = qx << ws
+            for vx, vy, vxw, ukeys, lkeys, uw, lw, nu, pref, tot in views:
+                # the one-word key (-dx << ws) // dy, for either sign of dy as in _keyed
                 dy = qy - vy
-                if dy > 0:
-                    key = (-dx << shift) // dy
-                    upper = True
-                elif dy < 0:
-                    key = (dx << shift) // -dy
-                    upper = False
-                elif dx:
-                    key = axis
-                    upper = dx > 0
+                if dy:
+                    kw = (vxw - qxw) // dy
+                    upper = dy > 0
+                elif qx != vx:
+                    kw = axw
+                    upper = qx > vx
                 else:
                     break
-                cu = bisect_left(ukeys, key)
-                cl = bisect_left(lkeys, key)
-                if ukeys[cu] == key or lkeys[cl] == key:
-                    break
+                cu = bisect_left(uw, kw)
+                cl = bisect_left(lw, kw)
+                if uw[cu] == kw or lw[cl] == kw:
+                    key = ((vx - qx) << shift) // dy if dy else axis
+                    cu = bisect_left(ukeys, key, cu, bisect_right(uw, kw, cu))
+                    cl = bisect_left(lkeys, key, cl, bisect_right(lw, kw, cl))
+                    if ukeys[cu] == key or lkeys[cl] == key:
+                        break
                 # Positions cu .. nu + cl - 1 lie after the upper fold of d and
                 # before its lower fold: the half turn before d when d is lower,
                 # the one after it when d is upper.  Their count is a_v or
@@ -562,24 +596,24 @@ class _Rotations:
         for v in range(len(self.pts)):
             if v == p:
                 continue
-            key, upper = own[4][v]
-            ukeys, lkeys, w, _ = self._drop(v, p)
+            key, upper = own[6][v]
+            ukeys, lkeys, uw, lw, w, _ = self._drop(v, p)
             nu = len(ukeys) - 1
             cu = bisect_left(ukeys, key)
             cl = bisect_left(lkeys, key)
             if upper:  # v lies in p's upper half turn, so p in v's lower one
                 t = nu + cl
                 a = len(lkeys) - 1 - cl + cu
-                lkeys = lkeys[:cl] + [key] + lkeys[cl:]
+                lkeys, lw = _with(lkeys, lw, cl, key, key >> self.wshift)
             else:
                 t = cu
                 a = nu - cu + cl
-                ukeys = ukeys[:cu] + [key] + ukeys[cu:]
+                ukeys, uw = _with(ukeys, uw, cu, key, key >> self.wshift)
             w = _arc_add(w, t, len(w) - a, 1)
             w.insert(t, a)
-            where = self.centers[v][4]
+            where = self.centers[v][6]
             where[p] = (key, not upper)
-            self.centers[v] = (ukeys, lkeys, w, list(accumulate(w, initial=0)), where)
+            self.centers[v] = (ukeys, lkeys, uw, lw, w, list(accumulate(w, initial=0)), where)
         self.crossings = crossings
 
 

@@ -22,7 +22,7 @@ from hashlib import blake2b
 from math import inf
 
 from .doubling import VerificationError, double_points, double_signature, predicted_double
-from .geometry import DegenerateError, PointSet
+from .geometry import PointSet
 from .halving import halving_matching, halving_matching_sig
 from .heuristics import SearchBudget, cell_walk, random_relocation, shrink, sig_flip_search
 from .io import load_drawing
@@ -107,6 +107,13 @@ class _OutOfTime(Exception):
     """Leaves a shrink from its emit callback once the run is out of time."""
 
 
+# What a bad record raises while it is loaded, doubled or searched: a
+# VerificationError, or a ValueError, which ParseError, DegenerateError and
+# the heuristics' rejections of their inputs all are.  Any other error is a
+# fault of the program and ends the run.
+_RECORD_ERRORS = (ValueError, VerificationError)
+
+
 def _lane_seed(*parts):
     """A stable 64-bit seed for one (record, cycle, lane, heuristic) slot."""
     digest = blake2b(":".join(map(str, parts)).encode(), digest_size=8)
@@ -119,12 +126,14 @@ class _Run:
         self.registry = Registry(cfg.registry_path)
         self.t0 = time.monotonic()
         self.no_matching = set()  # (kind, n, crossings) of records without a halving matching
+        self.failed = set()  # (kind, n, crossings) of records set aside after an error
         self.report = {
             "cycles": 0,
             "accepted": [],
             "doublings": [],
             "no_matching": [],
             "skipped_too_large": [],
+            "failed_records": [],
             "bound_history": {k: [] for k in cfg.kinds},
             "log": [],
             "final_best": {},
@@ -140,6 +149,15 @@ class _Run:
 
     def log(self, msg):
         self.report["log"].append(f"[t+{self.elapsed():.1f}s] {msg}")
+
+    def set_aside(self, kind, rec, exc):
+        """Pass over the record for the rest of the run, after it raised exc.
+        A record that later replaces it at the same n is not passed over."""
+        self.failed.add((kind, rec.n, rec.crossings))
+        self.report["failed_records"].append(
+            {"kind": kind, "n": rec.n, "crossings": rec.crossings, "error": f"{type(exc).__name__}: {exc}"}
+        )
+        self.log(f"{kind}: n={rec.n} failed: {exc}; set aside for the rest of the run")
 
     def submit(self, drawing, provenance):
         res = self.registry.submit_drawing(drawing, provenance)
@@ -185,12 +203,17 @@ class _Run:
         # every lane searches from the records as they stood at the cycle's start
         found = []
         for kind in self.cfg.kinds:
-            for rec in self.registry.best_records(kind, self.cfg.top_k):
-                drawing = load_drawing(rec.payload_path)
-                for lane in range(self.cfg.worker_count):
-                    parts = (self.cfg.seed, kind, rec.n, cycle, lane)
-                    outs = self._search(kind, drawing, self.cfg.heuristic_budgets, *parts)
-                    found += [(out, f"{label} from n={rec.n}") for out, label in outs]
+            recs = self.registry.best_records(kind)
+            recs = [r for r in recs if (kind, r.n, r.crossings) not in self.failed]
+            for rec in recs[: self.cfg.top_k]:
+                try:
+                    drawing = load_drawing(rec.payload_path)
+                    for lane in range(self.cfg.worker_count):
+                        parts = (self.cfg.seed, kind, rec.n, cycle, lane)
+                        outs = self._search(kind, drawing, self.cfg.heuristic_budgets, *parts)
+                        found += [(out, f"{label} from n={rec.n}") for out, label in outs]
+                except _RECORD_ERRORS as exc:
+                    self.set_aside(kind, rec, exc)
         for drawing, provenance in found:
             self.submit(drawing, provenance)
 
@@ -218,10 +241,11 @@ class _Run:
         """Double the best record whose double can improve the registry;
         shrink and search its outputs.  Only the first top_k records report
         a skip for size or a missing matching, and a record found without a
-        matching is passed over for the rest of the run.  The clock is read
-        before each shrink tuple size and search and after each shrink
-        output, so the phase ends within one shrink step or search of the
-        deadline."""
+        matching is passed over for the rest of the run.  A record that
+        raises one of the errors a bad record raises is set aside, and the
+        next one is tried.  The clock is read before each shrink tuple size
+        and search and after each shrink output, so the phase ends within
+        one shrink step or search of the deadline."""
         recs = self.registry.best_records(kind)
         stored = {r.n: r.crossings for r in recs}
         for i, rec in enumerate(recs):
@@ -233,48 +257,54 @@ class _Run:
                 continue
             if stored.get(2 * rec.n, inf) <= predicted_double(kind, rec.n, rec.crossings):
                 continue
-            if (kind, rec.n, rec.crossings) in self.no_matching:
+            key = (kind, rec.n, rec.crossings)
+            if key in self.no_matching or key in self.failed:
                 continue
-            drawing = load_drawing(rec.payload_path)
             try:
-                matching = halving_matching(drawing) if kind == "rect" else halving_matching_sig(drawing)
-                if not matching:
-                    self.no_matching.add((kind, rec.n, rec.crossings))
-                    if reported:
-                        self.report["no_matching"].append({"kind": kind, "n": rec.n})
-                        self.log(f"{kind}: n={rec.n} has no halving matching, trying next-best")
-                    continue
-                if kind == "rect":
-                    doubled, dreport = double_points(drawing, matching)
-                else:
-                    doubled, dreport = double_signature(drawing, matching)
-            except (DegenerateError, VerificationError) as exc:
-                self.log(f"{kind}: doubling n={rec.n} failed: {exc}")
-                continue
-            self.report["doublings"].append({"kind": kind, **asdict(dreport)})
-            self.log(
-                f"{kind}: doubled n={rec.n} -> n={doubled.n} "
-                f"crossings={dreport.output_crossings} (= predicted)"
-            )
-            chain = f"double(n={rec.n})"
-            self.submit(doubled, chain)
-            subdrawings = [doubled]
-            if doubled.n > self.cfg.shrink_target:
-                for tup in self.cfg.shrink_tuples:
-                    if self.out_of_time():
-                        break
-                    subdrawings.extend(_spaced(self._shrink(doubled, tup, chain), 5))
-            cap = self.cfg.limited_budget
-            limited = {name: min(steps, cap) for name, steps in self.cfg.heuristic_budgets.items()}
-            limited["cellwalk"] = 0
-            for sub in subdrawings:
+                if self._double_record(kind, rec, reported):
+                    return True
+            except _RECORD_ERRORS as exc:
+                self.set_aside(kind, rec, exc)
+        return False
+
+    def _double_record(self, kind, rec, reported):
+        """Double one record, submit the double and its shrinks, and search
+        them; False when the record has no halving matching."""
+        drawing = load_drawing(rec.payload_path)
+        matching = halving_matching(drawing) if kind == "rect" else halving_matching_sig(drawing)
+        if not matching:
+            self.no_matching.add((kind, rec.n, rec.crossings))
+            if reported:
+                self.report["no_matching"].append({"kind": kind, "n": rec.n})
+                self.log(f"{kind}: n={rec.n} has no halving matching, trying next-best")
+            return False
+        if kind == "rect":
+            doubled, dreport = double_points(drawing, matching)
+        else:
+            doubled, dreport = double_signature(drawing, matching)
+        self.report["doublings"].append({"kind": kind, **asdict(dreport)})
+        self.log(
+            f"{kind}: doubled n={rec.n} -> n={doubled.n} "
+            f"crossings={dreport.output_crossings} (= predicted)"
+        )
+        chain = f"double(n={rec.n})"
+        self.submit(doubled, chain)
+        subdrawings = [doubled]
+        if doubled.n > self.cfg.shrink_target:
+            for tup in self.cfg.shrink_tuples:
                 if self.out_of_time():
                     break
-                parts = (self.cfg.seed, kind, sub.n, "limited", chain)
-                for out, label in self._search(kind, sub, limited, *parts):
-                    self.submit(out, f"{chain}->{label}")
-            return True
-        return False
+                subdrawings.extend(_spaced(self._shrink(doubled, tup, chain), 5))
+        cap = self.cfg.limited_budget
+        limited = {name: min(steps, cap) for name, steps in self.cfg.heuristic_budgets.items()}
+        limited["cellwalk"] = 0
+        for sub in subdrawings:
+            if self.out_of_time():
+                break
+            parts = (self.cfg.seed, kind, sub.n, "limited", chain)
+            for out, label in self._search(kind, sub, limited, *parts):
+                self.submit(out, f"{chain}->{label}")
+        return True
 
     # -- main loop --------------------------------------------------------------
 

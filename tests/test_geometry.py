@@ -461,6 +461,131 @@ def test_rotation_tables_follow_moves():
     assert moves == 240 and rebuilds >= 10 and nones >= 1000
 
 
+def _folded_key(d, shift, axis):
+    """The folded key of direction d at a key shift (the axis key when level)."""
+    dx, dy = d
+    if dy:
+        return (-dx << shift) // dy
+    return axis
+
+
+def _one_word_ties(S, h, cands, span):
+    """For each candidate, whether its one-word key ties a stored one-word key
+    around some fixed point, and whether its exact key ties a stored key
+    (it lies on a line through two fixed points), computed independently."""
+    shift, axis = geometry._key_scale(span)
+    wshift = max(0, shift - geometry._WORD)
+    T = [S[i] for i in range(S.n) if i != h]
+    stored = []
+    for v in T:
+        keys = {_folded_key((w[0] - v[0], w[1] - v[1]), shift, axis) for w in T if w != v}
+        stored.append((v, keys, {k >> wshift for k in keys}))
+    out = []
+    for q in cands:
+        word = exact = False
+        for v, keys, words in stored:
+            if q == v:
+                exact = True
+                continue
+            key = _folded_key((q[0] - v[0], q[1] - v[1]), shift, axis)
+            word = word or key >> wshift in words
+            exact = exact or key in keys
+        out.append((word, exact))
+    return out
+
+
+def _tying_candidates(rng, S, h, count):
+    """Candidates beside the line through two fixed points: q = v + k (w - v)
+    + (1, 0), whose direction from v ties w's at one word but not at full
+    scale on wide coordinates; and on it, q = v + 2 (w - v)."""
+    T = [S[i] for i in range(S.n) if i != h]
+    cands = []
+    for _ in range(count):
+        (vx, vy), (wx, wy) = rng.sample(T, 2)
+        k = rng.choice((2, 3, -1, -2))
+        cands.append((vx + k * (wx - vx) + 1, vy + k * (wy - vy)))
+    for _ in range(count // 6):
+        (vx, vy), (wx, wy) = rng.sample(T, 2)
+        cands.append((vx + 2 * (wx - vx), vy + 2 * (wy - vy)))
+    return cands
+
+
+def _square_candidates(rng, S, h, count):
+    """Candidates sampled as random_relocation samples them: uniformly from
+    the square around the anchor of half-side width plus height."""
+    xs = [p[0] for p in S]
+    ys = [p[1] for p in S]
+    half = max(xs) - min(xs) + max(ys) - min(ys)
+    px, py = S[h]
+    return [(px + rng.randint(-half, half), py + rng.randint(-half, half)) for _ in range(count)]
+
+
+def _wide_sets():
+    """k2643 subsets with 319-bit coordinates (n = 24, 96) and the doubling
+    chain at 48 and 96."""
+    golden = load_points(str(resources.files("crossnum.data") / "k2643.txt"))
+    rng = random.Random(163)
+    sets = [PointSet(tuple(golden[i] for i in sorted(rng.sample(range(golden.n), n)))) for n in (24, 96)]
+    S = PointSet(((0, 0), (1, 0), (0, 1)))
+    while S.n < 96:
+        S, _ = double_points(S, halving_matching(S))
+        if S.n in (48, 96):
+            sets.append(S)
+    return sets
+
+
+def test_one_word_candidate_keys_match_oracle():
+    # Candidates are placed by one-word keys and keyed exactly only on a
+    # one-word tie; the counts must equal the sweep oracle's and full
+    # recounts, with the tie path really taken.
+    rng = random.Random(164)
+    tie_path = collinear = 0
+    for S in _wide_sets():
+        h = rng.randrange(S.n)
+        cands = _square_candidates(rng, S, h, S.n // 2) + _tying_candidates(rng, S, h, 24)
+        rng.shuffle(cands)
+        batch = CandidateBatch(h, tuple(cands))
+        got = evaluate_candidates(S, batch)
+        assert got == evaluate_candidates_oracle(S, batch), S.n
+        ties = _one_word_ties(S, h, batch.candidates, _span(list(S) + cands))
+        for q, c, (word, exact) in zip(batch.candidates, got, ties):
+            assert (c is None) == exact, (S.n, q)
+            if c is not None:
+                assert c == count_crossings(S.replace(h, q)), (S.n, q)
+            tie_path += word and not exact
+            collinear += exact
+    assert tie_path >= 50 and collinear >= 10
+
+
+def test_rotation_tables_follow_tying_moves():
+    # A seeded move sequence on a 319-bit subset in which every second move
+    # lands on a candidate that ties a stored key at one word, so the
+    # one-word lists take inserts among equal one-word keys; the tables must
+    # equal a fresh build after each move.
+    golden = load_points(str(resources.files("crossnum.data") / "k2643.txt"))
+    rng = random.Random(165)
+    S = PointSet(tuple(golden[i] for i in sorted(rng.sample(range(golden.n), 24))))
+    span = _span(S)
+    tables = _Rotations(S, span)
+    tied = 0
+    for step in range(16):
+        h = rng.randrange(S.n)
+        cands = _tying_candidates(rng, S, h, 6) if step % 2 else _square_candidates(rng, S, h, 8)
+        if not tables.covers(cands):
+            span = _span(list(S) + cands)
+            tables = _Rotations(S, span)
+        counts = tables.evaluate(h, cands)
+        words = _one_word_ties(S, h, cands, span)
+        picks = [i for i, c in enumerate(counts) if c is not None]
+        i = picks[0] if step % 2 else min(picks, key=counts.__getitem__)
+        tied += words[i][0]
+        S = S.replace(h, cands[i])
+        tables.move(h, cands[i], counts[i])
+        assert counts[i] == count_crossings(S), step
+        assert tables.centers == _Rotations(S, span).centers, step
+    assert tied >= 8
+
+
 def test_degenerate_raises():
     with pytest.raises(DegenerateError):
         count_crossings(PointSet(((0, 0), (1, 0), (2, 0), (0, 5))))

@@ -225,6 +225,47 @@ def test_run_and_resume(tmp_path):
         assert all(v <= v0 for v in vals), (k, v0, vals)
 
 
+def _truncated_registry(path):
+    """A registry of the triangle and its double whose n=6 payload has lost
+    its last line."""
+    run = _Run(PipelineConfig(kinds=("rect",), registry_path=str(path)))
+    S6, _ = double_points(TRIANGLE, halving_matching(TRIANGLE))
+    assert run.submit(TRIANGLE, "seed") and run.submit(S6, "double")
+    payload = run.registry.get("rect", 6).payload_path
+    with open(payload, encoding="utf-8") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    with open(payload, "w", encoding="utf-8") as fh:
+        fh.writelines(lines[:-1])
+    return run.registry
+
+
+def test_bad_record_is_set_aside(tmp_path):
+    reg = _truncated_registry(tmp_path / "reg")
+    path = str(tmp_path / "reg")
+    cfg = PipelineConfig(kinds=("rect",), registry_path=path, run_time=5.0, stall_window=1.0, max_n={"rect": 24})
+    report = orchestrate(cfg)
+    assert report["cycles"] > 1 and report["seconds"] >= 5.0
+    failed = report["failed_records"]
+    assert [(f["kind"], f["n"]) for f in failed] == [("rect", 6)]
+    assert failed[0]["error"].startswith("ParseError: expected 6 points")
+    assert any("rect/n6" in problem for problem in reg.fsck())
+
+
+def test_program_errors_end_the_run(tmp_path, monkeypatch):
+    _truncated_registry(tmp_path / "reg")
+
+    def broken(path):
+        raise TypeError("not a record error")
+
+    monkeypatch.setattr(pipeline, "load_drawing", broken)
+    run = _Run(PipelineConfig(kinds=("rect",), registry_path=str(tmp_path / "reg")))
+    with pytest.raises(TypeError):
+        run.optimize_phase(0)
+    with pytest.raises(TypeError):
+        run.double_phase("rect")
+    assert run.report["failed_records"] == []
+
+
 def _until_first_double(rep):
     out = []
     for a in rep["accepted"]:
