@@ -38,7 +38,7 @@ from .io import (
 )
 from .pipeline import PipelineConfig, orchestrate
 from .registry import Registry, bound_for, count_drawing_brute, verify
-from .signatures import Signature, signature_of
+from .signatures import Signature, is_realizable, signature_of
 from .svg import export_svg
 
 
@@ -65,9 +65,17 @@ def _progress_printer():
     return progress
 
 
+def _count(drawing):
+    """The crossings of a drawing.  A signature must be realizable, as the
+    registry requires, since the counter means nothing otherwise."""
+    if drawing.kind == "pseudo" and not is_realizable(drawing):
+        raise VerificationError("signature is not realizable")
+    return count_crossings(drawing)
+
+
 def cmd_count(args):
     drawing = load_drawing(args.file)
-    fast = count_crossings(drawing)
+    fast = _count(drawing)
     if args.brute:
         brute = count_drawing_brute(drawing)
         if brute != fast:
@@ -79,10 +87,10 @@ def cmd_count(args):
 def cmd_bound(args):
     drawing = load_drawing(args.file)
     kind = normalize_kind(args.kind)
-    if kind == "rect" and isinstance(drawing, Signature):
+    if kind == "rect" and drawing.kind == "pseudo":
         raise ValueError("a signature only certifies the pseudolinear bound")
     n = drawing.n
-    crossings = count_crossings(drawing)
+    crossings = _count(drawing)
     bound = bound_for(kind, n, crossings)
     print(f"n = {n}")
     print(f"crossings = {crossings}")
@@ -104,16 +112,14 @@ def cmd_double(args):
             raise ValueError("cannot double a signature as a point drawing")
         if kind == "pseudo" and isinstance(drawing, PointSet):
             drawing = signature_of(drawing)
-    if isinstance(drawing, Signature):
-        matching = halving_matching_sig(drawing)
+    if drawing.kind == "pseudo":
+        match, double = halving_matching_sig, double_signature
     else:
-        matching = halving_matching(drawing)
+        match, double = halving_matching, double_points
+    matching = match(drawing)
     if not matching:
         raise ValueError("instance has no halving matching")
-    if isinstance(drawing, Signature):
-        doubled, report = double_signature(drawing, matching)
-    else:
-        doubled, report = double_points(drawing, matching)
+    doubled, report = double(drawing, matching)
     print(
         f"doubled n={report.input_n} ({report.input_crossings} crossings) -> "
         f"n={report.output_n}: {report.output_crossings} crossings "

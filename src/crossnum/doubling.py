@@ -247,35 +247,30 @@ def double_signature(D, M):
     base = count_crossings_sig(D)
     predicted = predicted_double("pseudo", n, base)
     N = 2 * n
-    out = Signature(N)
-    put = out._put
-    get = D._get
+    signs = D.signs()
     rank = D.rank
     sign = D.sign
-    r = 0
+    rows = []  # the signs of the triples a < b < c of copies, one string per a
     for a in range(N):
         oa = a >> 1
+        row = []
         for b in range(a + 1, N):
             ob = b >> 1
             for c in range(b + 1, N):
                 oc = c >> 1
                 if oa != ob and ob != oc:
-                    s = 1 if get(rank(oa, ob, oc)) else -1
-                elif oa == ob:
-                    x = oc
-                    if x != t[oa]:
-                        s = sign(oa, t[oa], x)
-                    else:
-                        s = sign(oa, t[oa], t[x]) * (-1 if (c & 1) == 0 else 1)
+                    row.append(signs[rank(oa, ob, oc)])
+                    continue
+                # both copies of v, and copy xc of another vertex x
+                v, xc = (oa, c) if oa == ob else (ob, a)
+                x = xc >> 1
+                if x != t[v]:
+                    s = sign(v, t[v], x)
                 else:
-                    x = oa
-                    if x != t[ob]:
-                        s = sign(ob, t[ob], x)
-                    else:
-                        s = sign(ob, t[ob], t[x]) * (-1 if (a & 1) == 0 else 1)
-                if s > 0:
-                    put(r, 1)
-                r += 1
+                    s = sign(v, t[v], t[x]) * (1 if xc & 1 else -1)
+                row.append("+" if s > 0 else "-")
+        rows.append("".join(row))
+    out = Signature.from_signs(N, "".join(rows))
     if not is_realizable(out):
         raise VerificationError("doubled signature is not realizable")
     c2 = count_crossings_sig(out)

@@ -29,6 +29,7 @@ SIG_MAGIC = b"PSLSIG01"
 _INT = re.compile(r"-?\d+$")
 _WORD = re.compile(r"[A-Za-z]+$")
 _LABEL = re.compile(r"[A-Za-z]+_\{?\d+\}?\s*:?=?")
+_NOT_SIGN = re.compile(r"[^+-]")
 
 
 class ParseError(ValueError):
@@ -109,30 +110,24 @@ def parse_signature_text(text):
     if n < 3:
         raise ParseError("signature needs at least 3 vertices", no)
     want = comb(n, 3)
-    D = Signature(n)
+    chunks = []
     r = 0
     for no, s in lines[1:]:
-        for ch in s:
-            if ch.isspace():
-                continue
-            if ch not in "+-":
-                raise ParseError(f"expected '+' or '-', got {ch!r}", no)
-            if r >= want:
-                raise ParseError(f"more than C({n},3) = {want} signs", no)
-            if ch == "+":
-                D._put(r, 1)
-            r += 1
+        body = "".join(s.split())
+        bad = _NOT_SIGN.search(body)  # reported when no later than the first excess sign
+        if bad and bad.start() <= want - r:
+            raise ParseError(f"expected '+' or '-', got {bad.group()!r}", no)
+        if len(body) > want - r:
+            raise ParseError(f"more than C({n},3) = {want} signs", no)
+        chunks.append(body)
+        r += len(body)
     if r != want:
         raise ParseError(f"expected C({n},3) = {want} signs, found {r}")
-    return D
+    return Signature.from_signs(n, "".join(chunks))
 
 
 def format_signature_text(D, width=78):
-    stream = []
-    get = D._get
-    for r in range(D.triple_count):
-        stream.append("+" if get(r) else "-")
-    s = "".join(stream)
+    s = D.signs()
     body = "\n".join(s[i : i + width] for i in range(0, len(s), width))
     return f"{D.n}\n{body}\n"
 

@@ -25,7 +25,7 @@ from .doubling import VerificationError, double_points, double_signature, predic
 from .geometry import PointSet
 from .halving import halving_matching, halving_matching_sig
 from .heuristics import SearchBudget, cell_walk, random_relocation, shrink, sig_flip_search
-from .io import load_drawing
+from .io import ParseError, load_drawing
 from .registry import Registry
 from .signatures import convex_signature
 
@@ -112,6 +112,15 @@ class _OutOfTime(Exception):
 # the heuristics' rejections of their inputs all are.  Any other error is a
 # fault of the program and ends the run.
 _RECORD_ERRORS = (ValueError, VerificationError)
+
+
+def _load(rec):
+    """The record's drawing.  An unreadable payload file raises ParseError, as
+    ``Registry.submit`` words it, so the record is set aside like a bad one."""
+    try:
+        return load_drawing(rec.payload_path)
+    except OSError as exc:
+        raise ParseError(f"payload unreadable: {exc}") from exc
 
 
 def _lane_seed(*parts):
@@ -207,7 +216,7 @@ class _Run:
             recs = [r for r in recs if (kind, r.n, r.crossings) not in self.failed]
             for rec in recs[: self.cfg.top_k]:
                 try:
-                    drawing = load_drawing(rec.payload_path)
+                    drawing = _load(rec)
                     for lane in range(self.cfg.worker_count):
                         parts = (self.cfg.seed, kind, rec.n, cycle, lane)
                         outs = self._search(kind, drawing, self.cfg.heuristic_budgets, *parts)
@@ -270,7 +279,7 @@ class _Run:
     def _double_record(self, kind, rec, reported):
         """Double one record, submit the double and its shrinks, and search
         them; False when the record has no halving matching."""
-        drawing = load_drawing(rec.payload_path)
+        drawing = _load(rec)
         matching = halving_matching(drawing) if kind == "rect" else halving_matching_sig(drawing)
         if not matching:
             self.no_matching.add((kind, rec.n, rec.crossings))

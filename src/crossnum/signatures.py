@@ -10,6 +10,8 @@ cheap to copy and mutate.
 
 Signs are stored one bit per lexicographically ranked triple (1 means +),
 LSB first inside each byte; the padding bits of the last byte are always 0.
+Only ``Signature.from_signs`` and ``Signature.signs`` pack and unpack them,
+to and from C(n, 3) '+'/'-' characters in that triple order.
 
 A Signature answers ``kind``, ``sweeps()`` and ``delete(v)`` like a
 ``geometry.PointSet``.  Its sweeps are the rotation around each vertex with
@@ -63,22 +65,26 @@ class Signature:
         self._arank = arank
         self._psum = psum
 
-    @property
-    def triple_count(self):
-        return comb(self.n, 3)
+    @classmethod
+    def from_signs(cls, n, signs):
+        """The signature whose triple of rank r has the sign signs[r], from
+        C(n, 3) '+'/'-' characters; ValueError on any other length or character."""
+        if n < 3:
+            raise ValueError("signature needs at least 3 vertices")
+        want = comb(n, 3)
+        if len(signs) != want or signs.count("+") + signs.count("-") != want:
+            raise ValueError(f"expected C({n},3) = {want} signs, each '+' or '-'")
+        bits = int(signs.translate(str.maketrans("+-", "10"))[::-1], 2)
+        return cls(n, bits.to_bytes((want + 7) // 8, "little"))
+
+    def signs(self):
+        """The '+'/'-' string of the signs by triple rank; ``from_signs`` inverts it."""
+        bits = int.from_bytes(self._bits, "little")
+        return format(bits, f"0{comb(self.n, 3)}b")[::-1].translate(str.maketrans("10", "+-"))
 
     def rank(self, i, j, k):
         """Lexicographic rank of the increasing triple (i, j, k)."""
         return self._arank[i] + self._psum[j] - self._psum[i + 1] + (k - j - 1)
-
-    def _get(self, r):
-        return (self._bits[r >> 3] >> (r & 7)) & 1
-
-    def _put(self, r, bit):
-        if bit:
-            self._bits[r >> 3] |= 1 << (r & 7)
-        else:
-            self._bits[r >> 3] &= ~(1 << (r & 7)) & 0xFF
 
     def sign(self, a, b, c):
         """Orientation sign of any three distinct vertices in 0..n-1, +1 or -1.
@@ -95,20 +101,13 @@ class Signature:
                 a, b, s = b, a, -s
         if not 0 <= a < b < c < self.n:
             raise ValueError(f"not three distinct vertices in 0..{self.n - 1}: {(a, b, c)}")
-        return s if self._get(self.rank(a, b, c)) else -s
+        r = self.rank(a, b, c)
+        return s if self._bits[r >> 3] >> (r & 7) & 1 else -s
 
     def set_sign(self, a, b, c, value):
         """Store the sign (+1/-1) for any distinct triple in 0..n-1, parity-adjusted."""
-        s = 1 if value > 0 else -1
-        if a > b:
-            a, b, s = b, a, -s
-        if b > c:
-            b, c, s = c, b, -s
-            if a > b:
-                a, b, s = b, a, -s
-        if not 0 <= a < b < c < self.n:
-            raise ValueError(f"not three distinct vertices in 0..{self.n - 1}: {(a, b, c)}")
-        self._put(self.rank(a, b, c), 1 if s > 0 else 0)
+        if (self.sign(a, b, c) > 0) != (value > 0):
+            self._flip_inplace((a, b, c))
 
     def copy(self):
         return Signature(self.n, bytes(self._bits))
@@ -131,8 +130,7 @@ class Signature:
         return out
 
     def _flip_inplace(self, t):
-        i, j, k = sorted(t)
-        r = self.rank(i, j, k)
+        r = self.rank(*sorted(t))
         self._bits[r >> 3] ^= 1 << (r & 7)
 
     def sweeps(self):
@@ -166,9 +164,7 @@ class Signature:
 
 def convex_signature(n):
     """The signature of n points in convex position, all triples positive."""
-    if n < 3:
-        raise ValueError("signature needs at least 3 vertices")
-    return Signature(n, b"\xff" * ((comb(n, 3) + 7) // 8))
+    return Signature.from_signs(n, "+" * comb(n, 3))
 
 
 def signature_of(S):
@@ -177,20 +173,19 @@ def signature_of(S):
     n = len(pts)
     if n < 3:
         raise ValueError("signature needs at least 3 points")
-    D = Signature(n)
-    r = 0
-    put = D._put
+    rows = []  # the signs of the triples i < j < k, one string per i
     for i in range(n):
         pi = pts[i]
+        row = []
         for j in range(i + 1, n):
             pj = pts[j]
             for k in range(j + 1, n):
                 o = orient(pi, pj, pts[k])
                 if o == 0:
                     raise DegenerateError(f"collinear triple ({i}, {j}, {k})")
-                put(r, 1 if o > 0 else 0)
-                r += 1
-    return D
+                row.append("+" if o > 0 else "-")
+        rows.append("".join(row))
+    return Signature.from_signs(n, "".join(rows))
 
 
 def _pair_crossing(sign, a, b, c, d):
@@ -302,28 +297,28 @@ def _relabel(D, order):
     """The signature on len(order) vertices whose triple (i, j, k) carries
     D.sign(order[i], order[j], order[k])."""
     m = len(order)
-    out = Signature(m)
-    bits = out._bits
-    get = D._get
+    signs = D.signs()
+    swapped = signs.translate(str.maketrans("+-", "-+"))
     rank = D.rank
-    r = 0
+    rows = []
     for i in range(m):
         a = order[i]
+        row = []
         for j in range(i + 1, m):
             b = order[j]
-            lo, hi, odd = (a, b, 0) if a < b else (b, a, 1)
+            # sorting (a, b, c) is odd when exactly one of a > b and lo < c < hi
+            # holds, and then the sign is read from the swapped string
+            lo, hi, outside, between = (a, b, signs, swapped) if a < b else (b, a, swapped, signs)
             for k in range(j + 1, m):
                 c = order[k]
                 if c > hi:
-                    bit = get(rank(lo, hi, c)) ^ odd
+                    row.append(outside[rank(lo, hi, c)])
                 elif c > lo:
-                    bit = get(rank(lo, c, hi)) ^ odd ^ 1
+                    row.append(between[rank(lo, c, hi)])
                 else:
-                    bit = get(rank(c, lo, hi)) ^ odd
-                if bit:
-                    bits[r >> 3] |= 1 << (r & 7)
-                r += 1
-    return out
+                    row.append(outside[rank(c, lo, hi)])
+        rows.append("".join(row))
+    return Signature.from_signs(m, "".join(rows))
 
 
 def _is_signotope(E):

@@ -78,6 +78,23 @@ def test_bound(work):
     assert r.returncode == 3
 
 
+def test_count_and_bound_reject_nonrealizable_signatures(work):
+    # a cyclic 4-vertex pattern, from which the counter reads -3 crossings;
+    # verify rejects it too
+    D = Signature(4, b"\x05")
+    assert not is_realizable(D)
+    save_signature(D, work / "cyclic4.sig")
+    for argv in (("count",), ("count", "--brute"), ("bound", "--kind", "pseudo")):
+        r = run(argv[0], str(work / "cyclic4.sig"), *argv[1:])
+        assert r.returncode == 2 and "not realizable" in r.stderr and r.stdout == "", argv
+    r = run("verify", str(work / "cyclic4.sig"), "--kind", "pseudo")
+    assert r.returncode == 2 and "not realizable" in r.stderr
+    r = run("bound", str(work / "conv6.sig"), "--kind", "pseudo")
+    assert r.returncode == 0 and "crossings = 15" in r.stdout
+    r = run("bound", str(work / "tri4.pts"), "--kind", "pseudo")
+    assert r.returncode == 0 and "crossings = 0" in r.stdout
+
+
 def test_signature(work):
     r = run("signature", "--from-points", str(work / "conv5.pts"))
     assert r.returncode == 0

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +27,10 @@ from crossnum.halving import (
     NoMatching,
     halving_matching,
     halving_matching_sig,
+    slot_partner,
 )
 from crossnum.signatures import (
+    Signature,
     convex_signature,
     count_crossings_sig_brute,
     is_realizable,
@@ -274,6 +277,51 @@ def test_random_signature_doubling():
         else:
             even += 1
     assert odd >= 3 and even >= 3
+
+
+def double_signature_per_triple(D, M):
+    """Oracle for double_signature's signs: the same rule, one sign query and
+    one set_sign per triple of copies."""
+    n = D.n
+    t = [slot_partner(D, M.assignments[v]) for v in range(n)]
+    out = Signature(2 * n)
+    for a, b, c in combinations(range(2 * n), 3):
+        oa, ob, oc = a >> 1, b >> 1, c >> 1
+        if oa != ob and ob != oc:
+            s = D.sign(oa, ob, oc)
+        elif oa == ob:
+            x = oc
+            s = D.sign(oa, t[oa], x) if x != t[oa] else D.sign(oa, t[oa], t[x]) * (-1 if c % 2 == 0 else 1)
+        else:
+            x = oa
+            s = D.sign(ob, t[ob], x) if x != t[ob] else D.sign(ob, t[ob], t[x]) * (-1 if a % 2 == 0 else 1)
+        out.set_sign(a, b, c, s)
+    return out
+
+
+def random_signature_doubling_inputs():
+    """The seeded signatures test_random_signature_doubling starts from."""
+    rng = random.Random(24)
+    out = []
+    for n in [3, 5, 7] * 3 + [6, 10] * 3:
+        if n % 2 == 0:
+            S0 = rand_general(rng, n // 2)
+            out.append(signature_of(double_points(S0, halving_matching(S0))[0]))
+        else:
+            out.append(signature_of(rand_general(rng, n)))
+    return out
+
+
+def test_double_signature_matches_per_triple_oracle(triangle_chain):
+    chain = [signature_of(triangle_chain[n][0]) for n in (3, 6, 12, 24)]
+    checked = 0
+    for D in chain + random_signature_doubling_inputs():
+        M = halving_matching_sig(D)
+        if isinstance(M, NoMatching):
+            continue
+        assert double_signature(D, M)[0] == double_signature_per_triple(D, M), D.n
+        checked += 1
+    assert checked >= 4 + 12
 
 
 def test_cross_module_even_doubling_equality():

@@ -172,6 +172,23 @@ def test_signature_parse_errors(bad, sub):
     assert sub in str(ei.value)
 
 
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ("4\n++x+\n", "line 2: expected '+' or '-', got 'x'"),
+        ("4\n++++x\n", "line 2: expected '+' or '-', got 'x'"),
+        ("4\n++\n+ +x\n", "line 3: expected '+' or '-', got 'x'"),
+        ("4\n+++\n++x\n", "line 3: more than C(4,3) = 4 signs"),
+        ("4\n++\n# c\n\n+++\n", "line 5: more than C(4,3) = 4 signs"),
+        ("5\n+-+-+\n-+\n", "expected C(5,3) = 10 signs, found 7"),
+    ],
+)
+def test_signature_parse_error_messages(bad, message):
+    with pytest.raises(ParseError) as ei:
+        parse_signature_text(bad)
+    assert str(ei.value) == message
+
+
 def test_binary_errors():
     with pytest.raises(ParseError) as ei:
         signature_from_binary(b"PSLSIG01" + (4).to_bytes(8, "little") + b"\xff")

@@ -2,6 +2,7 @@
 and short end-to-end runs that must leave the registry self-consistent."""
 
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -248,6 +249,23 @@ def test_bad_record_is_set_aside(tmp_path):
     failed = report["failed_records"]
     assert [(f["kind"], f["n"]) for f in failed] == [("rect", 6)]
     assert failed[0]["error"].startswith("ParseError: expected 6 points")
+    assert any("rect/n6" in problem for problem in reg.fsck())
+
+
+def test_missing_payload_is_set_aside(tmp_path):
+    reg = _truncated_registry(tmp_path / "reg")
+    os.remove(reg.get("rect", 6).payload_path)
+    cfg = PipelineConfig(kinds=("rect",), registry_path=str(tmp_path / "reg"), max_n={"rect": 24})
+    for phase in (lambda run: run.optimize_phase(0), lambda run: run.double_phase("rect")):
+        run = _Run(cfg)
+        phase(run)
+        failed = run.report["failed_records"]
+        assert [(f["kind"], f["n"]) for f in failed] == [("rect", 6)]
+        assert failed[0]["error"].startswith("ParseError: payload unreadable: ")
+    cfg = PipelineConfig(kinds=("rect",), registry_path=str(tmp_path / "reg"), run_time=3.0, stall_window=0.5)
+    report = orchestrate(cfg)
+    assert report["cycles"] > 1 and report["seconds"] >= 3.0
+    assert [(f["kind"], f["n"]) for f in report["failed_records"]] == [("rect", 6)]
     assert any("rect/n6" in problem for problem in reg.fsck())
 
 

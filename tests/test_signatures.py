@@ -1,15 +1,18 @@
 """Signature container, counting, realizability against the 5-vertex catalog
 oracle, and the catalog itself, derived here by two independent routes."""
 
+import ast
 import random
 from functools import cache
 from itertools import combinations, permutations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crossnum
 from crossnum.geometry import DegenerateError, count_crossings, orient, removal_values, sweep_around
 from crossnum.signatures import (
     Signature,
@@ -23,6 +26,7 @@ from crossnum.signatures import (
     removal_values_sig,
     rotation,
     signature_of,
+    _relabel,
 )
 
 from conftest import rand_general
@@ -190,6 +194,88 @@ def test_flip_changes_exactly_one_triple():
     )
     assert diff == 1
     assert flip(D, (5, 3, 1)) == F
+
+
+def _random_signature(rng, n):
+    return Signature(n, bytes(rng.getrandbits(8) for _ in range((comb(n, 3) + 7) // 8)))
+
+
+def test_signs_round_trip_and_agree_with_sign():
+    # C(n, 3) mod 8 takes the values 1, 4, 2, 4, 3, 0, 4, 0, 5, 4 here, so
+    # most sizes end in a partly filled byte
+    rng = random.Random(1701)
+    for n in range(3, 13):
+        triples = list(combinations(range(n), 3))
+        probe = Signature(n)
+        assert [probe.rank(*t) for t in triples] == list(range(comb(n, 3)))
+        for _ in range(6):
+            D = _random_signature(rng, n)
+            signs = D.signs()
+            assert len(signs) == comb(n, 3)
+            assert Signature.from_signs(n, signs) == D
+            for t in triples:
+                assert signs[D.rank(*t)] == ("+" if D.sign(*t) > 0 else "-")
+    assert convex_signature(7).signs() == "+" * 35
+    assert Signature(7).signs() == "-" * 35
+
+
+@pytest.mark.parametrize(
+    "n,signs",
+    [
+        (4, "+++"),
+        (4, "+++++"),
+        (4, "++x+"),
+        (4, "++ +"),
+        (4, "1010"),
+        (4, "+-10"),
+        (5, "+" * 9 + "\n"),
+        (3, ""),
+        (2, ""),
+    ],
+)
+def test_from_signs_rejects_malformed(n, signs):
+    with pytest.raises(ValueError):
+        Signature.from_signs(n, signs)
+
+
+def _relabel_oracle(D, order):
+    out = Signature(len(order))
+    for i, j, k in combinations(range(len(order)), 3):
+        out.set_sign(i, j, k, D.sign(order[i], order[j], order[k]))
+    return out
+
+
+def test_relabel_matches_set_sign_oracle():
+    rng = random.Random(1702)
+    for n in range(3, 13):
+        for _ in range(4):
+            D = _random_signature(rng, n)
+            for order in (rng.sample(range(n), n), rng.sample(range(n), rng.randint(3, n))):
+                assert _relabel(D, order) == _relabel_oracle(D, order), (n, order)
+
+
+def test_signature_of_matches_orient():
+    rng = random.Random(1703)
+    for n in range(3, 16):
+        S = rand_general(rng, n)
+        D = signature_of(S)
+        for i, j, k in combinations(range(n), 3):
+            assert D.sign(i, j, k) == orient(S[i], S[j], S[k])
+
+
+def test_only_signatures_reads_the_packed_bits():
+    """Every other module packs and unpacks signs through
+    Signature.from_signs and Signature.signs, so the bit layout is known in
+    one place."""
+    root = Path(crossnum.__file__).parent
+    found = []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "signatures.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("_bits", "_get", "_put"):
+                found.append((path.name, node.lineno, node.attr))
+    assert not found, found
 
 
 def test_rotation_matches_geometric_sweep():
