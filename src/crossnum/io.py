@@ -142,15 +142,14 @@ def signature_from_binary(blob):
     if len(blob) < 16:
         raise ParseError("truncated signature header")
     n = int.from_bytes(blob[8:16], "little")
-    if n < 3:
-        raise ParseError("signature needs at least 3 vertices")
     bits = blob[16:]
-    nbits = comb(n, 3)
-    if len(bits) != (nbits + 7) // 8:
-        raise ParseError(f"expected {(nbits + 7) // 8} sign bytes, got {len(bits)}")
-    if nbits & 7 and bits[-1] >> (nbits & 7):
+    try:
+        D = Signature(n, bits)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    if D.to_bytes() != bits:
         raise ParseError("nonzero padding bits")
-    return Signature(n, bits)
+    return D
 
 
 def parse_signature(data):

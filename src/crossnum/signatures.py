@@ -5,13 +5,22 @@ the combinatorial shadow of a pseudolinear drawing: the sign of a triple says
 on which side of the pseudoline through the first two vertices the third one
 lies.  Everything downstream of exact coordinates -- counting crossings,
 checking realizability, flipping one triple, deleting a vertex -- works on
-the packed signs directly, so signatures of a few thousand vertices stay
-cheap to copy and mutate.
+the signature's sign rows, so those operations cost O(n^2) word operations
+on ints of n bits instead of one Python call per triple.
 
-Signs are stored one bit per lexicographically ranked triple (1 means +),
-LSB first inside each byte; the padding bits of the last byte are always 0.
-Only ``Signature.from_signs`` and ``Signature.signs`` pack and unpack them,
-to and from C(n, 3) '+'/'-' characters in that triple order.
+A Signature holds one row per ordered vertex pair: ``_rows[v][x]`` is an
+n-bit int whose bit y is set when sign(v, x, y) > 0 (bits v and x are 0).
+So the window count of x around v is one ``bit_count()``, ``sign`` is one
+bit lookup, a flip toggles six bits and ``delete(v)`` drops bit v from
+every row.  The rows are the only representation held.
+
+The io and registry format is the packed one: one bit per lexicographically
+ranked triple (1 means +), LSB first inside each byte, the padding bits of
+the last byte 0.  ``Signature(n, bits)`` builds the rows from those bytes
+with two bit-matrix transposes per vertex (``_rows_from_packed``), and
+``to_bytes`` packs them back; ``Signature.from_signs`` and
+``Signature.signs`` do the same for C(n, 3) '+'/'-' characters in that
+triple order.  No other module knows the layout.
 
 A Signature answers ``kind``, ``sweeps()`` and ``delete(v)`` like a
 ``geometry.PointSet``.  Its sweeps are the rotation around each vertex with
@@ -22,48 +31,50 @@ are those same functions under their signature names.
 
 Realizability is decided by a hull vertex plus the signotope axiom on
 4-subsets (``is_realizable``); whether one flip keeps a realizable signature
-realizable is decided from three signs per other vertex
-(``realizable_after_flip``).  ``_hull_order`` is the one place that finds an
-extreme vertex; the SVG wiring diagram starts its sweep from it too.
+realizable is decided from three rows (``realizable_after_flip``).
+``_hull_order`` is the one place that finds an extreme vertex; the SVG
+wiring diagram starts its sweep from it too.
 """
 
-from functools import cmp_to_key
+import struct
+from functools import cache
 from itertools import combinations
 from math import comb
+from operator import itemgetter, rshift
 
 from .geometry import DegenerateError, count_crossings, orient, removal_values, _points
 
+_TO_BITS = str.maketrans("+-", "10")
+_TO_SIGNS = str.maketrans("10", "+-")
+
 
 class Signature:
-    """Packed triple signs with O(1) rank lookup and parity-aware queries.
+    """Triple signs held as per-vertex sign rows, with bit-lookup queries.
 
     A pseudolinear drawing: ``kind``, ``sweeps`` and ``delete`` are shared
     with ``geometry.PointSet``, so the counters take either kind.
     """
 
-    __slots__ = ("n", "_bits", "_arank", "_psum")
+    __slots__ = ("n", "_rows")
     kind = "pseudo"
 
     def __init__(self, n, bits=None):
+        """The signature of the packed sign bytes ``bits``, every sign -
+        when None; the padding bits of the last byte are ignored."""
         if n < 3:
             raise ValueError("signature needs at least 3 vertices")
-        self.n = n
         nb = (comb(n, 3) + 7) // 8
-        if bits is None:
-            self._bits = bytearray(nb)
-        else:
-            if len(bits) != nb:
-                raise ValueError(f"expected {nb} sign bytes, got {len(bits)}")
-            self._bits = bytearray(bits)
-            self._bits[-1] &= 0xFF >> (-comb(n, 3) % 8)  # clear the padding bits
-        # rank(i,j,k) = arank[i] + psum[j] - psum[i+1] + (k - j - 1)
-        arank = [0] * (n + 1)
-        psum = [0] * (n + 1)
-        for v in range(n):
-            arank[v + 1] = arank[v] + comb(n - 1 - v, 2)
-            psum[v + 1] = psum[v] + (n - 1 - v)
-        self._arank = arank
-        self._psum = psum
+        if bits is not None and len(bits) != nb:
+            raise ValueError(f"expected {nb} sign bytes, got {len(bits)}")
+        self.n = n
+        self._rows = _rows_from_packed(n, int.from_bytes(bits or b"", "little"))
+
+    @classmethod
+    def _of_rows(cls, n, rows):
+        D = object.__new__(cls)
+        D.n = n
+        D._rows = rows
+        return D
 
     @classmethod
     def from_signs(cls, n, signs):
@@ -74,17 +85,34 @@ class Signature:
         want = comb(n, 3)
         if len(signs) != want or signs.count("+") + signs.count("-") != want:
             raise ValueError(f"expected C({n},3) = {want} signs, each '+' or '-'")
-        bits = int(signs.translate(str.maketrans("+-", "10"))[::-1], 2)
-        return cls(n, bits.to_bytes((want + 7) // 8, "little"))
+        return cls._of_rows(n, _rows_from_packed(n, int(signs.translate(_TO_BITS)[::-1], 2)))
+
+    def _packed(self):
+        """The signs as one int whose bit r is 1 when the triple of rank r
+        is positive: the bits k > j of every row (i, j), i < j, highest rank
+        first, gathered one i at a time."""
+        n, rows = self.n, self._rows
+        packed = 0
+        for i in reversed(range(n - 2)):
+            row = rows[i]
+            block = 0
+            for j in reversed(range(i + 1, n - 1)):
+                block = block << (n - 1 - j) | row[j] >> (j + 1)
+            packed = packed << comb(n - 1 - i, 2) | block
+        return packed
 
     def signs(self):
         """The '+'/'-' string of the signs by triple rank; ``from_signs`` inverts it."""
-        bits = int.from_bytes(self._bits, "little")
-        return format(bits, f"0{comb(self.n, 3)}b")[::-1].translate(str.maketrans("10", "+-"))
+        return format(self._packed(), f"0{comb(self.n, 3)}b")[::-1].translate(_TO_SIGNS)
+
+    def to_bytes(self):
+        """The packed sign bytes, padding bits 0; ``Signature(n, bits)`` inverts it."""
+        return self._packed().to_bytes((comb(self.n, 3) + 7) // 8, "little")
 
     def rank(self, i, j, k):
         """Lexicographic rank of the increasing triple (i, j, k)."""
-        return self._arank[i] + self._psum[j] - self._psum[i + 1] + (k - j - 1)
+        arank, psum = _rank_tables(self.n)
+        return arank[i] + psum[j] - psum[i + 1] + (k - j - 1)
 
     def sign(self, a, b, c):
         """Orientation sign of any three distinct vertices in 0..n-1, +1 or -1.
@@ -92,17 +120,10 @@ class Signature:
         Swapping two vertices flips the sign, exactly like the determinant
         orientation of three points.
         """
-        s = 1
-        if a > b:
-            a, b, s = b, a, -s
-        if b > c:
-            b, c, s = c, b, -s
-            if a > b:
-                a, b, s = b, a, -s
-        if not 0 <= a < b < c < self.n:
-            raise ValueError(f"not three distinct vertices in 0..{self.n - 1}: {(a, b, c)}")
-        r = self.rank(a, b, c)
-        return s if self._bits[r >> 3] >> (r & 7) & 1 else -s
+        n = self.n
+        if not (0 <= a < n and 0 <= b < n and 0 <= c < n) or a == b or b == c or a == c:
+            raise ValueError(f"not three distinct vertices in 0..{n - 1}: {(a, b, c)}")
+        return 1 if self._rows[a][b] >> c & 1 else -1
 
     def set_sign(self, a, b, c, value):
         """Store the sign (+1/-1) for any distinct triple in 0..n-1, parity-adjusted."""
@@ -110,10 +131,7 @@ class Signature:
             self._flip_inplace((a, b, c))
 
     def copy(self):
-        return Signature(self.n, bytes(self._bits))
-
-    def to_bytes(self):
-        return bytes(self._bits)
+        return Signature._of_rows(self.n, [row[:] for row in self._rows])
 
     def _triple(self, t):
         """t sorted increasingly; ValueError unless it names three distinct
@@ -130,8 +148,13 @@ class Signature:
         return out
 
     def _flip_inplace(self, t):
-        r = self.rank(*sorted(t))
-        self._bits[r >> 3] ^= 1 << (r & 7)
+        """Reverse the sign of the distinct triple t: its bit in the rows
+        of all six ordered pairs."""
+        a, b, c = t
+        rows = self._rows
+        for p, q, r in ((a, b, c), (b, c, a), (c, a, b)):
+            rows[p][q] ^= 1 << r
+            rows[q][p] ^= 1 << r
 
     def sweeps(self):
         """Each vertex's rotation and window counts (``_rotation_windows``),
@@ -140,26 +163,138 @@ class Signature:
         return (_rotation_windows(self, v) for v in range(self.n))
 
     def delete(self, v):
-        """The signature induced on the other vertices, indices shifted down."""
+        """The signature induced on the other vertices, indices shifted down:
+        bit v leaves every other row, n^2 int operations."""
         n = self.n
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} out of range")
         if n - 1 < 3:
             raise ValueError("deletion would leave fewer than 3 vertices")
-        return _relabel(self, [x for x in range(n) if x != v])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Signature)
-            and self.n == other.n
-            and self._bits == other._bits
+        low = (1 << v) - 1
+        high = -1 << v
+        rows = self._rows
+        return Signature._of_rows(
+            n - 1,
+            [
+                [r >> 1 & high | r & low for r in row[:v] + row[v + 1 :]]
+                for row in rows[:v] + rows[v + 1 :]
+            ],
         )
 
+    def __eq__(self, other):
+        return isinstance(other, Signature) and self.n == other.n and self._rows == other._rows
+
     def __hash__(self):
-        return hash((self.n, bytes(self._bits)))
+        return hash((self.n, self.to_bytes()))
 
     def __repr__(self):
         return f"Signature(n={self.n})"
+
+
+@cache
+def _rank_tables(n):
+    """rank(i, j, k) = arank[i] + psum[j] - psum[i + 1] + (k - j - 1)."""
+    arank = [0] * (n + 1)
+    psum = [0] * (n + 1)
+    for v in range(n):
+        arank[v + 1] = arank[v] + comb(n - 1 - v, 2)
+        psum[v + 1] = psum[v] + (n - 1 - v)
+    return arank, psum
+
+
+def _side(n):
+    """The side of the square bit matrices that hold n rows of n bits: a
+    power of two, and at least 8 so that a row is whole bytes."""
+    return max(8, 1 << (n - 1).bit_length())
+
+
+@cache
+def _swap_masks(N):
+    """The (shift, mask) of each delta swap that transposes an N x N bit
+    matrix held as one int, row r at bits r * N .. r * N + N - 1.  At block
+    size s the bits in rows r with r & s == 0 and columns c with c & s != 0
+    trade places with those s rows down and s columns left, s * (N - 1)
+    bits up."""
+    B = N // 8
+    out = []
+    s = N >> 1
+    while s:
+        cols = sum(1 << c for c in range(N) if c & s).to_bytes(B, "little")
+        mask = b"".join(bytes(B) if r & s else cols for r in range(N))
+        out.append((s * (N - 1), int.from_bytes(mask, "little")))
+        s >>= 1
+    return out
+
+
+def _transpose(M, N):
+    """The transpose of the N x N bit matrix M, log2 N masked shifts."""
+    for d, mask in _swap_masks(N):
+        t = (M ^ M >> d) & mask
+        M ^= t ^ t << d
+    return M
+
+
+# rows of one machine word are packed and unpacked by struct in one call
+_WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _pack(rows, B):
+    """Rows of at most 8 * B bits as one bit matrix, row x at bit 8 * B * x."""
+    if B in _WORDS:
+        return int.from_bytes(struct.pack(f"<{len(rows)}{_WORDS[B]}", *rows), "little")
+    return int.from_bytes(b"".join(r.to_bytes(B, "little") for r in rows), "little")
+
+
+def _unpack(M, m, B):
+    """The first m rows of the bit matrix M, whose rows are 8 * B bits wide
+    and all 0 from row m on."""
+    buf = M.to_bytes(m * B, "little")
+    if B in _WORDS:
+        return list(struct.unpack(f"<{m}{_WORDS[B]}", buf))
+    return [int.from_bytes(buf[x * B : x * B + B], "little") for x in range(m)]
+
+
+def _rows_from_packed(n, packed):
+    """All sign rows of the signature whose triple of rank r is positive
+    when bit r of packed is 1, with two transposes per vertex.
+
+    upper[i][j], i < j, is the row (i, j) restricted to its bits k > j,
+    which are the consecutive ranks of the triples (i, j, .).  Write s for
+    sign(v, x, y) > 0.  Above the diagonal, x < y, row x of vertex v reads
+    s off
+      upper[v][x] at bit y when v < x,
+      the complement of upper[x][v] at bit y when x < v < y, and
+      upper[x][y] at bit v when y < v: bit y of cols[x][v], where cols[x]
+      is the transpose of upper[x].
+    Below it s is the complement of the transposed sign, outside row and
+    column v, since swapping x and y reverses the sign.
+    """
+    arank = _rank_tables(n)[0]
+    upper = []
+    for i in range(n):
+        block = packed >> arank[i] & ((1 << (arank[i + 1] - arank[i])) - 1)
+        row = [0] * n
+        for j in range(i + 1, n - 1):
+            w = n - 1 - j
+            row[j] = (block & ((1 << w) - 1)) << (j + 1)
+            block >>= w
+        upper.append(row)
+    N = _side(n)
+    B = N // 8
+    full = (1 << n) - 1
+    cols = [_unpack(_transpose(_pack(ux, B), N), n, B) for ux in upper]
+    lower = int.from_bytes(b"".join(((1 << x) - 1).to_bytes(B, "little") for x in range(n)), "little")
+    firsts = int.from_bytes(b"\x01".ljust(B, b"\x00") * n, "little")  # bit 0 of each row
+    rows = []
+    for v in range(n):
+        high = full ^ ((2 << v) - 1)
+        up = [cols[x][v] | (upper[x][v] ^ high) for x in range(v)]
+        up.append(0)
+        up += upper[v][v + 1 :]
+        M = _pack(up, B)
+        below = lower ^ (((1 << v) - 1) << (v * N)) ^ (firsts >> ((v + 1) * N) << ((v + 1) * N + v))
+        rows.append(_unpack(M | (_transpose(M, N) ^ below), n, B))
+    return rows
 
 
 def convex_signature(n):
@@ -215,46 +350,45 @@ def rotation(D, v):
 
     The reference vertex is the lowest index other than v; the remaining
     vertices split into the half-turn after the reference direction and the
-    half-turn before it, each sorted by the signature's own orientation.
+    half-turn before it.  Inside a half-turn x comes before y when
+    sign(v, x, y) > 0, so each half is sorted by the number of its vertices
+    that x comes before, one masked ``bit_count()`` of v's row x; ties, which
+    only a signature that is not realizable has, keep index order.
     """
     n = D.n
     if not 0 <= v < n:
         raise ValueError(f"vertex {v} out of range")
+    row = D._rows[v]
     ref = 1 if v == 0 else 0
-    fore = []
-    aft = []
-    for x in range(n):
-        if x == v or x == ref:
-            continue
-        (fore if D.sign(v, ref, x) > 0 else aft).append(x)
+    fore = row[ref]
+    aft = ((1 << n) - 1) ^ fore ^ (1 << v) ^ (1 << ref)
+    rot = [ref]
+    for half in (fore, aft):
+        rot += sorted(_members(half), key=lambda x: (row[x] & half).bit_count(), reverse=True)
+    return rot
 
-    def before(x, y):
-        return -1 if D.sign(v, x, y) > 0 else 1
 
-    fore.sort(key=cmp_to_key(before))
-    aft.sort(key=cmp_to_key(before))
-    return [ref] + fore + aft
+def _members(mask):
+    """The positions of the set bits of mask, increasing."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _rotation_windows(D, v):
     """Rotation around v and, per position, the size of its forward window.
 
-    avals[t] counts the vertices strictly inside the half-turn that starts
-    just after direction rot[t].  Valid for signatures of pseudolinear
-    drawings, where each window is a contiguous arc of the rotation.
+    avals[t] counts the vertices x with sign(v, rot[t], x) > 0, one
+    ``bit_count()`` of v's row rot[t]; in the signature of a pseudolinear
+    drawing they are the vertices strictly inside the half-turn that
+    starts just after direction rot[t].
     """
     rot = rotation(D, v)
-    m = len(rot)
-    sign = D.sign
-    avals = []
-    j = 1
-    for t in range(m):
-        if j < t + 1:
-            j = t + 1
-        while j - t < m and sign(v, rot[t], rot[j % m]) > 0:
-            j += 1
-        avals.append(j - t - 1)
-    return rot, avals
+    row = D._rows[v]
+    return rot, [row[x].bit_count() for x in rot]
 
 
 # The point-set counters read any drawing's sweeps; a signature must be
@@ -270,74 +404,61 @@ def _hull_order(D):
 
     h is found by keeping an edge (a, b) with vertices 0..w-1 all to its
     left.  A vertex w to its right lies outside their hull, so the edge is
-    rebuilt from w to its clockwise-most neighbour: O(n) sign queries per
+    rebuilt from w to its clockwise-most neighbour: O(n) bit lookups per
     rebuild, O(n^2) at most.  In a realizable signature h lies on the hull,
     so its rotation is a transitive tournament (a beats b when
-    sign(h, a, b) > 0) with out-degrees exactly 0..n-2, and falling
-    out-degree is the order.
+    sign(h, a, b) > 0) whose out-degrees, the bit counts of h's rows, are
+    exactly 0..n-2, and falling out-degree is the order.
     """
     n = D.n
-    sign = D.sign
+    rows = D._rows
     a, b = 0, 1
     for w in range(2, n):
-        if sign(a, b, w) < 0:
+        if not rows[a][b] >> w & 1:
             a, b = w, 0
             for x in range(1, w):
-                if sign(a, b, x) < 0:
+                if not rows[a][b] >> x & 1:
                     b = x
     h = a
-    rest = [v for v in range(n) if v != h]
-    wins = {p: sum(1 for q in rest if q != p and sign(h, p, q) > 0) for p in rest}
-    if sorted(wins.values()) != list(range(n - 1)):
+    rest = [p for p in range(n) if p != h]
+    wins = [rows[h][p].bit_count() for p in rest]
+    if sorted(wins) != list(range(n - 1)):
         return None
-    return [h] + sorted(rest, key=wins.__getitem__, reverse=True)
+    order = [h] * n
+    for p, w in zip(rest, wins):
+        order[n - 1 - w] = p
+    return order
 
 
-def _relabel(D, order):
-    """The signature on len(order) vertices whose triple (i, j, k) carries
-    D.sign(order[i], order[j], order[k])."""
-    m = len(order)
-    signs = D.signs()
-    swapped = signs.translate(str.maketrans("+-", "-+"))
-    rank = D.rank
-    rows = []
-    for i in range(m):
-        a = order[i]
-        row = []
-        for j in range(i + 1, m):
-            b = order[j]
-            # sorting (a, b, c) is odd when exactly one of a > b and lo < c < hi
-            # holds, and then the sign is read from the swapped string
-            lo, hi, outside, between = (a, b, signs, swapped) if a < b else (b, a, swapped, signs)
-            for k in range(j + 1, m):
-                c = order[k]
-                if c > hi:
-                    row.append(outside[rank(lo, hi, c)])
-                elif c > lo:
-                    row.append(between[rank(lo, c, hi)])
-                else:
-                    row.append(outside[rank(c, lo, hi)])
-        rows.append("".join(row))
-    return Signature.from_signs(m, "".join(rows))
+def _relabelled_upper(D, order):
+    """up[a][b], a < b: the signs sign(order[a], order[b], order[k]) of all
+    k > b at bit k - b - 1 (1 for +), for a < len(order) - 2; the upper rows
+    of D relabelled by order, shifted down.
 
-
-def _is_signotope(E):
-    """Whether every 4-subset a < b < c < d of E changes sign at most once
-    along abc, abd, acd, bcd.
-
-    Works on rows of the packed bits: row[i][j] holds sign(i, j, k) for all
-    k > j, bit k - j - 1, so one (a, b, c) tests every d > c at once.
+    Two transposes per vertex p = order[a]: p's rows taken in order are
+    transposed, so that the rows of the transpose are indexed by the third
+    vertex; taking those in order too and transposing back renumbers the
+    third vertex as well.
     """
-    m = E.n
-    bits = E._bits
-    row = [[0] * m for _ in range(m)]
-    r = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            width = m - 1 - j
-            chunk = int.from_bytes(bits[r >> 3 : (r + width + 7) >> 3], "little")
-            row[i][j] = (chunk >> (r & 7)) & ((1 << width) - 1)
-            r += width
+    m = len(order)
+    N = _side(D.n)
+    B = N // 8
+    pick = itemgetter(*order)
+    up = []
+    for a in range(m - 2):
+        T = _transpose(_pack(pick(D._rows[order[a]]), B), N)
+        R = _transpose(_pack(pick(_unpack(T, D.n, B)), B), N)
+        up.append(list(map(rshift, _unpack(R, m, B), range(1, m + 1))))
+    return up
+
+
+def _is_signotope(m, row):
+    """Whether every 4-subset a < b < c < d of m vertices changes sign at
+    most once along abc, abd, acd, bcd.
+
+    row[a][b] holds sign(a, b, k) for all k > b at bit k - b - 1
+    (``_relabelled_upper``), so one (a, b, c) tests every d > c at once.
+    """
     for a in range(m - 3):
         ra = row[a]
         for b in range(a + 1, m - 2):
@@ -363,14 +484,15 @@ def is_realizable(D):
     signs of p_0..p_{n-2} form a signotope: along abc, abd, acd, bcd every
     4-subset changes sign at most once (Knuth, Axioms and Hulls, LNCS 606,
     1992; Felsner & Weil, Sweeps, arrangements and signotopes, Discrete
-    Appl. Math. 109, 2001).  The order costs O(n^2) sign queries, the
-    relabelling O(n^3), and the scan C(n-1, 3) steps over (n-1)-bit rows.
-    Every signature on 3 vertices is realizable.
+    Appl. Math. 109, 2001).  The order costs O(n) bit counts, the
+    relabelling two bit-matrix transposes per vertex, and the scan
+    C(n-1, 3) steps over (n-1)-bit rows.  Every signature on 3 vertices is
+    realizable.
     """
     if D.n < 4:
         return True
     order = _hull_order(D)
-    return order is not None and _is_signotope(_relabel(D, order[1:]))
+    return order is not None and _is_signotope(D.n - 1, _relabelled_upper(D, order[1:]))
 
 
 def flip(D, t):
@@ -392,23 +514,20 @@ def realizable_after_flip(D, t):
     triangle would leave the cyclic 4-subset {i, j, k, d}.  Otherwise i, j, k
     lie in a half-turn around d, and the middle one is i when s1 != s2, else
     j when s1 == s3, else k; the flip is valid when every d sees the same
-    middle vertex.  3(n-3) sign queries; True on 3 vertices.  Raises
-    ValueError unless t names three distinct vertices of D.
+    middle vertex.  The three signs of every d are bit d of the rows (i, j),
+    (i, k) and (j, k), so the test is a few operations on n-bit ints; True
+    on 3 vertices.  Raises ValueError unless t names three distinct
+    vertices of D.
     """
     i, j, k = D._triple(t)
-    sign = D.sign
-    mid = None
-    for d in range(D.n):
-        if d == i or d == j or d == k:
-            continue
-        s1, s2, s3 = sign(d, i, j), sign(d, i, k), sign(d, j, k)
-        if s1 == s3 != s2:
-            return False
-        m = i if s1 != s2 else j if s1 == s3 else k
-        if mid is not None and m != mid:
-            return False
-        mid = m
-    return True
+    rows = D._rows
+    others = ((1 << D.n) - 1) ^ (1 << i) ^ (1 << j) ^ (1 << k)
+    x = (rows[i][j] ^ rows[i][k]) & others  # s1 != s2
+    y = (rows[i][j] ^ rows[j][k]) & others  # s1 != s3
+    if x & ~y:
+        return False
+    # x, y ^ x and others ^ y: the vertices that see i, k and j in the middle
+    return (x != 0) + (y != x) + (others != y) <= 1
 
 
 def delete_vertex(D, v):

@@ -26,7 +26,7 @@ from crossnum.signatures import (
     removal_values_sig,
     rotation,
     signature_of,
-    _relabel,
+    _relabelled_upper,
 )
 
 from conftest import rand_general
@@ -246,12 +246,21 @@ def _relabel_oracle(D, order):
 
 
 def test_relabel_matches_set_sign_oracle():
+    # the relabelled upper rows that is_realizable scans, against the
+    # per-triple relabel
     rng = random.Random(1702)
     for n in range(3, 13):
         for _ in range(4):
             D = _random_signature(rng, n)
             for order in (rng.sample(range(n), n), rng.sample(range(n), rng.randint(3, n))):
-                assert _relabel(D, order) == _relabel_oracle(D, order), (n, order)
+                m = len(order)
+                E = _relabel_oracle(D, order)
+                up = _relabelled_upper(D, order)
+                assert len(up) == max(m - 2, 0)
+                for a, b in combinations(range(m), 2):
+                    if a < m - 2:
+                        want = sum(1 << (k - b - 1) for k in range(b + 1, m) if E.sign(a, b, k) > 0)
+                        assert up[a][b] == want, (n, order, a, b)
 
 
 def test_signature_of_matches_orient():
@@ -264,16 +273,16 @@ def test_signature_of_matches_orient():
 
 
 def test_only_signatures_reads_the_packed_bits():
-    """Every other module packs and unpacks signs through
-    Signature.from_signs and Signature.signs, so the bit layout is known in
-    one place."""
+    """Every other module reads and writes signs through Signature's
+    methods (from_signs, signs, to_bytes, sign, ...), so the sign rows and
+    the packed bit layout are known in one place."""
     root = Path(crossnum.__file__).parent
     found = []
     for path in sorted(root.glob("*.py")):
         if path.name == "signatures.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr in ("_bits", "_get", "_put"):
+            if isinstance(node, ast.Attribute) and node.attr in ("_rows", "_of_rows", "_packed"):
                 found.append((path.name, node.lineno, node.attr))
     assert not found, found
 
