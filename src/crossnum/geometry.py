@@ -12,13 +12,16 @@ sorted by an integer floor of its scaled slope, so collinear points show up
 as key collisions and everything stays in pure integer arithmetic.  A key
 has two levels (``_key_scale``): a one-word key sorts the directions first,
 and the exact key, scaled once for the whole point set, is computed only for
-directions whose one-word keys tie.
+directions whose one-word keys tie.  A direction and its opposite share a
+key, so the sweeps of all centers key each pair of points once
+(``_sweep_pass``).
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations
 from math import comb
+from operator import itemgetter
 
 
 class DegenerateError(ValueError):
@@ -91,20 +94,18 @@ class PointSet:
 
     def sweeps(self):
         """Each point's (order, avals) of ``sweep_around``, in index order,
-        all under one key scale; lazy, so one sweep is held at a time.
+        all under one key scale; lazy, so one sweep is held at a time, plus
+        the keys handed on to later sweeps, at most floor(n/2) * ceil(n/2).
 
-        The sweeps sort by one-word keys first when the exact keys are at
-        least four words wide, until one center redoes more than half of its
-        directions at full scale (as the sets built by doubling do); the
-        rest of the set then uses full-scale keys (``_key_scale``).
+        Each pair of points is keyed once (``_sweep_pass``).  The sweeps
+        sort by one-word keys first when the exact keys are at least four
+        words wide, until one center redoes more than half of its directions
+        at full scale (as the sets built by doubling do); the rest of the set
+        then uses full-scale keys (``_key_scale``).
         """
         pts = self.points
         shift, axis = _key_scale(_span(pts))
-        coarse = shift >= 4 * _WORD
-        for v in range(len(pts)):
-            order, avals, _, redone = _sweep(pts, v, shift, axis, coarse)
-            coarse = coarse and 2 * redone <= len(pts) - 1
-            yield order, avals
+        return map(_SWEEP, _sweep_pass(pts, shift, axis, shift >= 4 * _WORD))
 
 
 @dataclass(frozen=True)
@@ -124,12 +125,14 @@ def _points(S):
 
 def _span(pts):
     """The larger of the x- and y-span of pts."""
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
+    xs, ys = zip(*pts)
     return max(max(xs) - min(xs), max(ys) - min(ys))
 
 
 _WORD = 64  # fraction bits of the one-word sweep key
+_KEY = itemgetter(0)  # the key of a (key, index, upper) entry
+_UP = itemgetter(2)  # its upper flag
+_SWEEP = itemgetter(0, 1)  # (order, avals) of a ``_sweep_pass`` entry
 
 
 def _key_scale(span):
@@ -187,54 +190,105 @@ def _ties(keyed):
     return [t for t in range(1, len(keyed)) if keyed[t][0] == keyed[t - 1][0]]
 
 
-def _sweep(pts, center, shift, axis, coarse=False):
+def _ordered(keyed):
+    """sweep_around's (order, avals) from a sorted keyed list.
+
+    keyed lists ``_keyed``'s (key, index, upper) of every other point in
+    sorted order: the upper half turn's events counterclockwise, each a
+    point's direction (upper) or its antipode.
+    """
+    # The i-th upper direction has in its window the later upper directions
+    # and the j lower points whose antipodes come before it, nu - 1 - (i - j);
+    # symmetrically nl - 1 + (i - j) for the j-th lower point.
+    nu = sum(map(_UP, keyed)) - 1
+    nl = len(keyed) - nu - 2
+    upper = []
+    lower = []
+    uavals = []
+    lavals = []
+    c = 0
+    for _, idx, up in keyed:
+        if up:
+            upper.append(idx)
+            uavals.append(nu - c)
+            c += 1
+        else:
+            lower.append(idx)
+            lavals.append(nl + c)
+            c -= 1
+    return upper + lower, uavals + lavals
+
+
+def _sweep(pts, center, shift, axis):
     """The sweep of sweep_around under a given key scale, plus its sorted keys.
 
-    Returns (order, avals, keyed, redone).  keyed lists ``_keyed``'s
-    (key, index, upper) of every other point in sorted order: the upper
-    half turn's events counterclockwise, each a point's direction (upper)
-    or its antipode.  shift and axis must come from _key_scale of a span at
-    least that of pts.  Equal full-scale keys are equal or opposite
-    directions, so they raise DegenerateError.
-
-    With coarse set, keyed is sorted by one-word keys first, and only the
-    runs of equal one-word keys are keyed again at full scale and re-sorted;
-    redone counts them (0 without coarse), and keyed keeps one-word keys
-    outside the runs.  order and avals are the same either way.
+    Returns (order, avals, keyed), keyed as in ``_ordered``, at full scale.
+    shift and axis must come from _key_scale of a span at least that of
+    pts.  Equal full-scale keys are equal or opposite directions, so they
+    raise DegenerateError.
     """
-    ks = _WORD if coarse else shift
-    keyed = sorted(_keyed(pts, center, range(len(pts)), ks, axis >> (shift - ks)))
-    ties = _ties(keyed)
-    redone = 0
-    if ties and coarse:
-        # Exact keys keep the order of distinct one-word keys, so the members
-        # of every run sort together back into the runs' positions.
-        run = sorted(set(ties).union(t - 1 for t in ties))
-        exact = sorted(_keyed(pts, center, [keyed[t][1] for t in run], shift, axis))
-        for t, e in zip(run, exact):
-            keyed[t] = e
-        ties = _ties(exact)
-        redone = len(run)
-    if ties:
+    keyed = sorted(_keyed(pts, center, range(len(pts)), shift, axis), key=_KEY)
+    if _ties(keyed):
         raise DegenerateError("collinear points through sweep center")
-    order = [idx for _, idx, up in keyed if up]
-    nu = len(order)
-    nl = len(keyed) - nu
-    order += [idx for _, idx, up in keyed if not up]
-    # The i-th upper direction has in its window the later upper directions
-    # and the j lower points whose antipodes come before it; symmetrically
-    # for the lower points.
-    avals = []
-    lower = []
-    i = j = 0
-    for _, _, up in keyed:
-        if up:
-            avals.append(nu - 1 - i + j)
-            i += 1
-        else:
-            lower.append(nl - 1 - j + i)
-            j += 1
-    return order, avals + lower, keyed, redone
+    return (*_ordered(keyed), keyed)
+
+
+def _sweep_pass(pts, shift, axis, coarse):
+    """The sweeps of every center in index order, keying each pair once.
+
+    Yields (order, avals, keyed, coarse, redone) per center: ``_sweep``'s
+    three, whether the center sorted by one-word keys, and how many of its
+    directions it keyed again at full scale.
+
+    Around v the key of w is ((x_v - x_w) << s) // (y_w - y_v).  Around w
+    the key of v negates both operands, so it is the same integer, and the
+    two upper flags are complements.  So the sweep around v keys every
+    later point and hands each key on to that point's sweep, and reads the
+    keys of every earlier point from what earlier sweeps handed on.  A key
+    is dropped once read, so at most floor(n/2) * ceil(n/2) are held.
+
+    With coarse set the keys are one-word keys (``_key_scale``).  Only the
+    runs of equal one-word keys are keyed again at full scale and re-sorted,
+    and keyed keeps one-word keys outside the runs.  Once a center redoes
+    more than half of its directions, the rest of the pass uses full-scale
+    keys, and the keys already handed on are keyed again.  order and avals
+    are the same either way, and equal full-scale keys raise
+    DegenerateError.
+    """
+    n = len(pts)
+    # keys[w] and ups[w] list, for u = 0, 1, ... in turn, the key of u
+    # around w and whether u lies in w's upper half turn.
+    keys = [[] for _ in range(n)]
+    ups = [[] for _ in range(n)]
+    ks, kaxis = (_WORD, axis >> (shift - _WORD)) if coarse else (shift, axis)
+    for v in range(n):
+        later = _keyed(pts, v, range(v + 1, n), ks, kaxis)
+        for key, w, up in later:
+            keys[w].append(key)
+            ups[w].append(not up)
+        keyed = [*zip(keys[v], range(v), ups[v]), *later]
+        keys[v] = ups[v] = None
+        keyed.sort(key=_KEY)
+        ties = _ties(keyed)
+        redone = 0
+        if ties and coarse:
+            # Exact keys keep the order of distinct one-word keys, so the
+            # members of every run sort together back into the runs' positions.
+            run = sorted(set(ties).union(t - 1 for t in ties))
+            exact = sorted(_keyed(pts, v, [keyed[t][1] for t in run], shift, axis), key=_KEY)
+            for t, e in zip(run, exact):
+                keyed[t] = e
+            ties = _ties(exact)
+            redone = len(run)
+        if ties:
+            raise DegenerateError("collinear points through sweep center")
+        order, avals = _ordered(keyed)
+        yield order, avals, keyed, coarse, redone
+        if coarse and 2 * redone > n - 1:
+            coarse = False
+            ks, kaxis = shift, axis
+            for w in range(v + 1, n):
+                keys[w] = [key for key, _, _ in _keyed(pts, w, range(v + 1), shift, axis)]
 
 
 def sweep_around(pts, center):
@@ -249,8 +303,12 @@ def sweep_around(pts, center):
     Raises DegenerateError when two directions coincide or oppose, i.e. when
     the center lies on a line through two other points or a point repeats.
     """
-    order, avals, _, _ = _sweep(pts, center, *_key_scale(_span(pts)))
-    return order, avals
+    return _sweep(pts, center, *_key_scale(_span(pts)))[:2]
+
+
+def _choose2(n):
+    """C(a, 2) for every window count a < n, as a list indexed by a."""
+    return [a * (a - 1) // 2 for a in range(n)]
 
 
 def crossings_from_windows(n, windows):
@@ -258,7 +316,8 @@ def crossings_from_windows(n, windows):
 
     windows holds, in any order, the window count of every ordered pair
     (p, q): the number of vertices in the open half turn counterclockwise
-    after q around p, which lie left of p->q; zeros may be mixed in.  A
+    after q around p, which lie left of p->q, so below n; zeros may be
+    mixed in.  Each C(window, 2) is read off ``_choose2``.  A
     4-subset is non-convex exactly when one vertex lies inside the triangle
     of the other three, and of the C(n - 1, 3) triangles around p, all but
     the sum over q of C(window(p, q), 2) contain p.  That gives the k-edge
@@ -267,7 +326,7 @@ def crossings_from_windows(n, windows):
     2004; Abrego & Fernandez-Merchant, Graphs Combin. 21, 2005), for point
     sets and realizable signatures alike.
     """
-    return comb(n, 4) - n * comb(n - 1, 3) + sum(a * (a - 1) // 2 for a in windows)
+    return comb(n, 4) - n * comb(n - 1, 3) + sum(map(_choose2(n).__getitem__, windows))
 
 
 def count_crossings(D):
@@ -408,11 +467,12 @@ def removal_values(D):
         raise ValueError("need at least 4 points")
     m = n - 1
     involved = [0] * n
+    choose2 = _choose2(n).__getitem__
 
     def windows():
         for x, (order, avals) in enumerate(D.sweeps()):
             pref = list(accumulate(avals, initial=0))
-            involved[x] += sum(a * (a - 1) // 2 for a in avals)
+            involved[x] += sum(map(choose2, avals))
             for t, p in enumerate(order):
                 involved[p] -= _containing(m, pref, t)
             yield from avals
@@ -447,7 +507,8 @@ def _with(keys, words, i, key, word):
 class _Rotations:
     """The angular sweeps around every point of a drawing, kept across moves.
 
-    Around each center the tables hold ``_sweep``'s sorted full-scale keys,
+    Around each center the tables hold the sorted full-scale keys of its
+    sweep (one ``_sweep_pass`` over all centers, ``_sweep`` after a move),
     split into upper and lower blocks, each closed by a sentinel above every
     key, the one-word image of each block (every key shifted right by
     ``wshift`` = s - 64, which floors the slope at scale 2^64; the block
@@ -476,12 +537,13 @@ class _Rotations:
         self.limit = 1 << span.bit_length()
         self.shift, self.axis = _key_scale(span)
         self.wshift = max(0, self.shift - _WORD)
-        self.centers = [self._center(v) for v in range(len(self.pts))]
+        sweeps = _sweep_pass(self.pts, self.shift, self.axis, False)
+        self.centers = [self._center(avals, keyed) for _, avals, keyed, _, _ in sweeps]
         windows = chain.from_iterable(c[4] for c in self.centers)
         self.crossings = crossings_from_windows(len(self.pts), windows)
 
-    def _center(self, v):
-        _, avals, keyed, _ = _sweep(self.pts, v, self.shift, self.axis)
+    def _center(self, avals, keyed):
+        """One center's tables from its full-scale sweep."""
         where = [None] * len(self.pts)
         for key, w, upper in keyed:
             where[w] = (key, upper)
@@ -541,7 +603,8 @@ class _Rotations:
         axis = self.axis
         ws = shift - self.wshift
         axw = axis >> self.wshift
-        cr = self.crossings - sum(a * (a - 1) // 2 for a in self.centers[anchor][4])
+        choose2 = _choose2(m + 1)
+        cr = self.crossings - sum(map(choose2.__getitem__, self.centers[anchor][4]))
         views = []
         for v, (x, y) in enumerate(self.pts):
             if v != anchor:
@@ -551,7 +614,7 @@ class _Rotations:
                 views.append((x, y, x << ws, ukeys, lkeys, uw, lw, len(ukeys) - 1, pref, pref[-1]))
         # a_v and (m - 1) - a_v both enter as C(., 2), so one table indexed by
         # either of them serves both.
-        pair_terms = [j * (j - 1) // 2 + (m - 1 - j) * (m - 2 - j) // 2 for j in range(m)]
+        pair_terms = [choose2[j] + choose2[m - 1 - j] for j in range(m)]
         base = cr - m * comb(m - 1, 2)
         results = []
         for qx, qy in candidates:
@@ -592,7 +655,7 @@ class _Rotations:
         """Move point p to q, which must keep general position, leaving a
         drawing with the given crossing count."""
         self.pts[p] = tuple(q)
-        self.centers[p] = own = self._center(p)
+        self.centers[p] = own = self._center(*_sweep(self.pts, p, self.shift, self.axis)[1:])
         for v in range(len(self.pts)):
             if v == p:
                 continue

@@ -90,7 +90,7 @@ def _balancing_gaps(pts, v):
     """
     m = len(pts) - 1
     cx, cy = pts[v]
-    order, avals, keyed, _ = _sweep(pts, v, *_key_scale(_span(pts)))
+    order, avals, keyed = _sweep(pts, v, *_key_scale(_span(pts)))
     window = dict(zip(order, avals))
     half = []
     for _, q, true in keyed:

@@ -305,17 +305,17 @@ def _cross_sweep(pts, c):
 
 
 def _spied_sweeps(monkeypatch, S):
-    """list(S.sweeps()), and the (coarse, redone) of each sweep it made."""
+    """list(S.sweeps()), and the (coarse, redone) of each sweep of its pass."""
     calls = []
-    real = geometry._sweep
+    real = geometry._sweep_pass
 
-    def spy(pts, center, shift, axis, coarse=False):
-        out = real(pts, center, shift, axis, coarse)
-        calls.append((coarse, out[3]))
-        return out
+    def spy(pts, shift, axis, coarse):
+        for out in real(pts, shift, axis, coarse):
+            calls.append(out[3:])
+            yield out
 
     with monkeypatch.context() as m:
-        m.setattr(geometry, "_sweep", spy)
+        m.setattr(geometry, "_sweep_pass", spy)
         return list(S.sweeps()), calls
 
 
@@ -408,6 +408,128 @@ def test_two_level_sweeps_raise_on_degenerate(pts):
         count_crossings(S)
     with pytest.raises(DegenerateError):
         sweep_around(S.points, 0)
+
+
+def _counted_keys(monkeypatch, run):
+    """run()'s result, and how many directions ``_keyed`` keyed for it."""
+    count = [0]
+    real = geometry._keyed
+
+    def spy(*args):
+        out = real(*args)
+        count[0] += len(out)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_keyed", spy)
+        return run(), count[0]
+
+
+def _pass_tables(S):
+    """The relocation tables of S, and the same tables built one sweep at a
+    time."""
+    tables = _Rotations(S.points, _span(S))
+    one = [
+        tables._center(*geometry._sweep(tables.pts, v, tables.shift, tables.axis)[1:])
+        for v in range(S.n)
+    ]
+    return tables.centers, one
+
+
+def test_sweep_pass_keys_each_pair_once(monkeypatch):
+    # One pass keys every pair once, plus the tied runs it redoes at full
+    # scale and, on a switch to full scale after center v, the
+    # (v + 1)(n - 1 - v) keys already handed on; sweeping each center on its
+    # own keys n(n - 1) directions.
+    golden = load_points(str(resources.files("crossnum.data") / "k2643.txt"))
+    rng = random.Random(191)
+    chain = PointSet(((0, 0), (1, 0), (0, 1)))
+    while chain.n < 96:
+        chain, _ = double_points(chain, halving_matching(chain))
+    sample = PointSet(tuple(golden[i] for i in sorted(rng.sample(range(golden.n), 96))))
+    redone = 0
+    for S in (sample, PointSet(tuple(golden[:96])), chain):
+        n = S.n
+        (got, calls), keyed = _counted_keys(monkeypatch, lambda: _spied_sweeps(monkeypatch, S))
+        assert got == [sweep_around(S.points, c) for c in range(n)]
+        flags = [coarse for coarse, _ in calls]
+        switch = [v for v in range(n - 1) if flags[v] and not flags[v + 1]]
+        handed = sum((v + 1) * (n - 1 - v) for v in switch)
+        if S is chain:
+            assert switch == [0] and handed == n - 1
+        else:
+            assert switch == [] and all(flags)
+        redo = sum(r for _, r in calls)
+        assert keyed == comb(n, 2) + redo + handed < n * (n - 1)
+        redone += redo
+        # the relocation tables sweep every center at full scale in one pass
+        (centers, one), keyed = _counted_keys(monkeypatch, lambda: _pass_tables(S))
+        assert centers == one
+        assert keyed == comb(n, 2) + n * (n - 1)  # the pass, then each center alone
+    assert redone > 200
+
+
+def test_sweep_pass_hands_on_axis_keys():
+    # Level pairs get the axis key around both of their points, with upper
+    # set around the left one; the key is handed on in either direction.
+    rng = random.Random(192)
+    for lim in (10**3, 2**140):
+        rightward = leftward = 0
+        for _ in range(8):
+            S = _horizontal_pairs(rng, 6, lim)
+            got = list(S.sweeps())
+            assert got == [sweep_around(S.points, c) for c in range(S.n)]
+            assert got == [_cross_sweep(S.points, c) for c in range(S.n)]
+            centers, one = _pass_tables(S)
+            assert centers == one
+            for a in range(0, S.n, 2):
+                rightward += S[a][0] < S[a + 1][0]
+                leftward += S[a][0] > S[a + 1][0]
+        assert rightward and leftward
+
+
+def test_sweep_pass_switches_at_a_later_center(monkeypatch):
+    # Points 0 and 1 lie far out, so the directions around them differ at
+    # one word.  The rest lie on the parabola y = D x + x^2, whose chords
+    # have slopes 1 / (D + i + j): one one-word key.  Point 2 is the first
+    # center to redo more than half of its directions, so the keys that
+    # points 0, 1 and 2 handed on are keyed again at full scale.
+    D = 1 << 130
+    pts = [(D * D, 0), (-D * D, 5)] + [(i, i * D + i * i) for i in range(1, 7)]
+    assert general_position(pts)
+    S = PointSet(tuple(pts))
+    (got, calls), keyed = _counted_keys(monkeypatch, lambda: _spied_sweeps(monkeypatch, S))
+    assert calls == [(True, 0), (True, 0), (True, 5)] + [(False, 0)] * 5
+    assert keyed == comb(8, 2) + 5 + 3 * 5
+    assert got == [sweep_around(pts, c) for c in range(8)]
+    assert got == [_cross_sweep(pts, c) for c in range(8)]
+    assert count_crossings(S) == count_crossings_brute(S)
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_degenerate_at_last_index_raises(wide):
+    # Every key around the last point is handed on from an earlier sweep,
+    # so a repeat or a collinear triple ending there must still raise.
+    rng = random.Random(193)
+    if wide:
+        golden = load_points(str(resources.files("crossnum.data") / "k2643.txt"))
+        pts = [golden[i] for i in sorted(rng.sample(range(golden.n), 20))]
+    else:
+        pts = list(rand_general(rng, 12))
+    (ax, ay), (bx, by), (cx, cy) = pts[3], pts[7], pts[2]
+    for tail in (
+        [pts[5]],  # a repeated point
+        [(2 * bx - ax, 2 * by - ay)],  # on the line through points 3 and 7
+        [(cx + 1, cy), (cx + 2, cy)],  # level with point 2
+    ):
+        S = PointSet(tuple(pts + tail))
+        with pytest.raises(DegenerateError):
+            count_crossings(S)
+        with pytest.raises(DegenerateError):
+            removal_values(S)
+        for h in (0, S.n - 1):
+            with pytest.raises(DegenerateError):
+                evaluate_candidates(S, CandidateBatch(h, (S[h], (1, 2))))
 
 
 def test_rotation_tables_follow_moves():
