@@ -235,7 +235,8 @@ def double_signature(D, M):
     their sign; (i+, i-, x) is signed by x's side of that pseudoline; and
     when x is the partner itself, by the side its own copies move to, which
     is the orientation of (i, t(i), t(t(i))).  The result must be realizable
-    and match the pseudolinear recurrence exactly.
+    and match the pseudolinear recurrence exactly; ``is_realizable`` leaves
+    it marked realizable.
     """
     n = D.n
     if not isinstance(M, HalvingMatching) or set(M.assignments) != set(range(n)):

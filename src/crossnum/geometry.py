@@ -57,8 +57,9 @@ def segments_cross(a, b, c, d):
 class PointSet:
     """An indexed set of integer points; indices are stable identities.
 
-    A rectilinear drawing: ``kind``, ``sweeps`` and ``delete`` are shared
-    with ``signatures.Signature``, so the counters take either kind.
+    A rectilinear drawing: ``kind``, ``windows``, ``sweeps`` and ``delete``
+    are shared with ``signatures.Signature``, so the counters take either
+    kind.
     """
 
     kind = "rect"
@@ -91,6 +92,11 @@ class PointSet:
         pts = list(self.points)
         del pts[i]
         return PointSet(tuple(pts))
+
+    def windows(self):
+        """The avals of every sweep (``sweeps``), center after center: the
+        window count of every ordered pair of points."""
+        return chain.from_iterable(avals for _, avals in self.sweeps())
 
     def sweeps(self):
         """Each point's (order, avals) of ``sweep_around``, in index order,
@@ -332,13 +338,14 @@ def crossings_from_windows(n, windows):
 def count_crossings(D):
     """Exact crossing count of a point set or a realizable signature.
 
-    The window counts of D's n sweeps, summed by crossings_from_windows.
-    O(n^2 log n).  A signature must be realizable (``is_realizable``): its
-    rotations and windows mean nothing otherwise, and no check is made here.
+    D's window counts (``windows()``), summed by crossings_from_windows:
+    a point set's n sweeps, O(n^2 log n), or a signature's n^2 row bit
+    counts.  A signature must be realizable (``is_realizable``): its windows
+    mean nothing otherwise, and no check is made here.
     """
     if D.n < 3:
         raise ValueError("need at least 3 points")
-    return crossings_from_windows(D.n, chain.from_iterable(avals for _, avals in D.sweeps()))
+    return crossings_from_windows(D.n, D.windows())
 
 
 def count_crossings_brute(S):

@@ -24,7 +24,7 @@ from .geometry import (
     removal_values,
     triple_crossings,
 )
-from .signatures import Signature, is_realizable, realizable_after_flip
+from .signatures import Signature, realizable_after_flip, require_realizable
 
 _DIRECTION_RANGE = 10**9
 
@@ -315,11 +315,10 @@ def sig_flip_search(D, budget, progress=None):
     entries per kept flip.  The delta is exact whenever the flip keeps the
     signature realizable, and only such flips are kept, so every decision
     equals the one a recount would give.  The input must be realizable,
-    checked once by ``is_realizable`` (ValueError otherwise); the result
-    then is as well.
+    checked once by ``require_realizable`` (ValueError otherwise); the
+    result then is as well, and is marked so.
     """
-    if not is_realizable(D):
-        raise ValueError("signature is not realizable")
+    require_realizable(D)
     cur = D.copy()
     n = cur.n
     rng = random.Random(budget.rng_seed)
@@ -334,7 +333,7 @@ def sig_flip_search(D, budget, progress=None):
         delta = _left_delta(n, L, *tri)
         steps += 1
         if delta <= 0 and realizable_after_flip(cur, (i, j, k)):
-            cur._flip_inplace((i, j, k))
+            cur._flip_inplace((i, j, k), realizable=True)
             _left_update(n, L, *tri)
             cr += delta
             best_cr = min(best_cr, cr)
@@ -408,10 +407,10 @@ def shrink(drawing, target_n, tuple_size=1, emit=None):
     every subset from the crossings through each vertex, pair and triple,
     read off the n rotation sweeps in O(n^3) per step
     (``geometry.triple_crossings``).  Works on point sets and realizable
-    signatures alike: a signature is checked once, since deleting vertices
-    keeps it realizable, and a non-realizable one raises ValueError before
-    the first step.  Every intermediate drawing is passed to ``emit`` when
-    given.
+    signatures alike: a signature is checked once (``require_realizable``),
+    since deleting vertices keeps it realizable, and a non-realizable one
+    raises ValueError before the first step.  Every intermediate drawing is
+    passed to ``emit`` when given.
     """
     if tuple_size not in (1, 2, 3):
         raise ValueError("tuple_size must be 1, 2 or 3")
@@ -420,8 +419,8 @@ def shrink(drawing, target_n, tuple_size=1, emit=None):
     cur = drawing
     if cur.n <= target_n:
         raise ValueError("drawing already has at most target_n vertices")
-    if isinstance(cur, Signature) and not is_realizable(cur):
-        raise ValueError("signature is not realizable")
+    if isinstance(cur, Signature):
+        require_realizable(cur)
     while cur.n > target_n:
         k = min(tuple_size, cur.n - target_n)
         if k == 1:

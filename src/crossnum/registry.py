@@ -6,13 +6,21 @@ metadata.  Every write re-verifies the payload from scratch and lands via a
 temp file and an atomic rename, so readers always see a consistent registry
 and interrupted runs lose nothing.  Records can be merged from another
 registry directory by file copy plus ``import_dir``.
+
+A ``Registry`` keeps the parsed index and its records, keyed by the exact
+bytes of ``index.json``: every read re-reads the file and parses it again
+only when its bytes differ from the ones the records were built from, as
+after a write by another ``Registry`` on the same directory.  An accepted
+submit updates the records in place and writes the index with json's C
+encoder, so it costs parse, certify and a few list operations.
 """
 
 import json
 import os
-import tempfile
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from operator import itemgetter
 from typing import Optional
 
 from .doubling import (
@@ -126,12 +134,20 @@ def verify(path, kind, brute_limit=12):
 
 
 class Registry:
-    """A registry directory; all reads hit the on-disk index directly."""
+    """A registry directory, read through its index's bytes-keyed records.
+
+    ``_raw`` holds the bytes of ``index.json`` that ``_index`` was parsed
+    from (None for no file, False when the views match no file, so that the
+    next read parses it), and per kind ``_by_n`` maps n to its record
+    and ``_ranked`` lists ((bound value, n), record) by that key, so each
+    bound's Fraction is built once.
+    """
 
     def __init__(self, path):
         self.path = str(path)
         os.makedirs(os.path.join(self.path, "rect"), exist_ok=True)
         os.makedirs(os.path.join(self.path, "pseudo"), exist_ok=True)
+        self._raw = False
 
     # -- index ---------------------------------------------------------------
 
@@ -139,38 +155,33 @@ class Registry:
         return os.path.join(self.path, INDEX_NAME)
 
     def _load_index(self):
+        """The parsed index, parsed again only when the file's bytes changed."""
         try:
-            with open(self._index_path(), "r", encoding="utf-8") as fh:
-                return json.load(fh)
+            with open(self._index_path(), "rb") as fh:
+                raw = fh.read()
         except FileNotFoundError:
-            return {"rect": {}, "pseudo": {}}
+            raw = None
+        if raw != self._raw:
+            self._build(raw, _parse_index(raw))
+        return self._index
 
-    def _store_index(self, index):
-        _atomic_write(
-            self._index_path(),
-            (json.dumps(index, indent=2, sort_keys=True) + "\n").encode(),
-        )
+    def _build(self, raw, index):
+        self._raw = raw
+        self._index = index
+        self._by_n = {"rect": {}, "pseudo": {}}
+        self._ranked = {"rect": [], "pseudo": []}
+        for kind in ("rect", "pseudo"):
+            for key, meta in index.get(kind, {}).items():
+                self._add(kind, int(key), meta)
 
-    def records(self, kind=None):
-        """All stored records, sorted by (kind, n)."""
-        index = self._load_index()
-        kinds = [normalize_kind(kind)] if kind else ["rect", "pseudo"]
-        out = []
-        for k in kinds:
-            for key in sorted(index.get(k, {}), key=int):
-                out.append(self._record_from(index, k, int(key)))
-        return out
-
-    def get(self, kind, n):
-        """The stored record for (kind, n), or None."""
-        index = self._load_index()
-        if str(n) not in index.get(normalize_kind(kind), {}):
-            return None
-        return self._record_from(index, normalize_kind(kind), n)
-
-    def _record_from(self, index, kind, n):
-        meta = index[kind][str(n)]
-        return DrawingRecord(
+    def _add(self, kind, n, meta):
+        """Put the record of (kind, n) described by meta into the views,
+        in place of the one stored before."""
+        ranked = self._ranked[kind]
+        old = self._by_n[kind].get(n)
+        if old is not None:
+            del ranked[bisect_left(ranked, (old.bound.value, n), key=_RANK)]
+        rec = self._by_n[kind][n] = DrawingRecord(
             kind=kind,
             n=n,
             crossings=int(meta["crossings"]),
@@ -179,6 +190,23 @@ class Registry:
             provenance=meta.get("provenance", ""),
             created_at=meta.get("created_at", ""),
         )
+        rank = (rec.bound.value, n)
+        ranked.insert(bisect_left(ranked, rank, key=_RANK), (rank, rec))
+
+    def records(self, kind=None):
+        """All stored records, sorted by (kind, n)."""
+        self._load_index()
+        kinds = [normalize_kind(kind)] if kind else ["rect", "pseudo"]
+        out = []
+        for k in kinds:
+            by_n = self._by_n[k]
+            out += map(by_n.__getitem__, sorted(by_n))
+        return out
+
+    def get(self, kind, n):
+        """The stored record for (kind, n), or None."""
+        self._load_index()
+        return self._by_n[normalize_kind(kind)].get(n)
 
     # -- writes ---------------------------------------------------------------
 
@@ -225,35 +253,42 @@ class Registry:
         if claimed is not None and claimed.bound is not None and claimed.bound != bound:
             return SubmitResult(False, f"bound mismatch: recomputed {bound}")
         index = self._load_index()
-        stored = index.get(kind, {}).get(str(n))
-        if stored is not None and crossings >= int(stored["crossings"]):
+        stored = self._by_n[kind].get(n)
+        if stored is not None and crossings >= stored.crossings:
             return SubmitResult(False, "not an improvement")
         relpath = os.path.join(kind, f"n{n}{_SUFFIX[kind]}")
         _atomic_write(os.path.join(self.path, relpath), payload)
-        index.setdefault(kind, {})[str(n)] = {
+        meta = index.setdefault(kind, {})[str(n)] = {
             "crossings": crossings,
             "bound": str(bound),
             "payload": relpath,
             "provenance": provenance,
             "created_at": created_at or _now(),
         }
-        self._store_index(index)
+        raw = (json.dumps(index, sort_keys=True) + "\n").encode()
+        try:
+            _atomic_write(self._index_path(), raw)
+        except BaseException:
+            self._raw = False
+            raise
+        self._raw = raw
+        self._add(kind, n, meta)
         return SubmitResult(True)
 
     # -- queries ----------------------------------------------------------------
 
     def best_bound(self, kind):
         """(n, bound) of the record minimizing the bound, over every stored n."""
-        recs = self.records(kind)
+        recs = self.best_records(kind, 1)
         if not recs:
             raise LookupError(f"no {normalize_kind(kind)} records in the registry")
-        best = min(recs, key=lambda r: (r.bound.value, r.n))
-        return best.n, best.bound
+        return recs[0].n, recs[0].bound
 
     def best_records(self, kind, top_k=None):
-        """Up to top_k records of the kind (all when None), best bound first."""
-        recs = sorted(self.records(kind), key=lambda r: (r.bound.value, r.n))
-        return recs[:top_k]
+        """Up to top_k records of the kind (all when None), best bound first:
+        by (bound, n)."""
+        self._load_index()
+        return [rec for _, rec in self._ranked[normalize_kind(kind)][:top_k]]
 
     def fsck(self):
         """Re-verify every record; returns a list of problem strings."""
@@ -306,15 +341,36 @@ class Registry:
         return results
 
 
+_RANK = itemgetter(0)  # the (bound value, n) of a ranked entry
+
+
+def _parse_index(raw):
+    """The index held in the bytes raw; the empty index when raw is None
+    (no index file)."""
+    if raw is None:
+        return {"rect": {}, "pseudo": {}}
+    return json.loads(raw)
+
+
 def _atomic_write(path, blob):
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    """Write blob to path through a temp file in the same directory, named
+    for this process and path, and an atomic rename; the temp file is
+    removed when any step fails."""
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".tmp-{os.getpid()}-{name}")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            view = memoryview(blob)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
+        try:
             os.unlink(tmp)
+        except FileNotFoundError:
+            pass
         raise
 

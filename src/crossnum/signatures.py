@@ -22,9 +22,10 @@ with two bit-matrix transposes per vertex (``_rows_from_packed``), and
 ``Signature.signs`` do the same for C(n, 3) '+'/'-' characters in that
 triple order.  No other module knows the layout.
 
-A Signature answers ``kind``, ``sweeps()`` and ``delete(v)`` like a
-``geometry.PointSet``.  Its sweeps are the rotation around each vertex with
-its window counts (``_rotation_windows``), so the point-set counters
+A Signature answers ``kind``, ``windows()``, ``sweeps()`` and ``delete(v)``
+like a ``geometry.PointSet``.  Its windows are the bit counts of its rows,
+and its sweeps the rotation around each vertex with its window counts
+(``_rotation_windows``), so the point-set counters
 ``geometry.count_crossings`` and ``geometry.removal_values`` count a
 realizable signature too; ``count_crossings_sig`` and ``removal_values_sig``
 are those same functions under their signature names.
@@ -34,11 +35,19 @@ Realizability is decided by a hull vertex plus the signotope axiom on
 realizable is decided from three rows (``realizable_after_flip``).
 ``_hull_order`` is the one place that finds an extreme vertex; the SVG
 wiring diagram starts its sweep from it too.
+
+A Signature carries a private realizable mark, so that a signature derived
+from a realizable one is not checked again (``require_realizable``).  A
+``True`` from ``is_realizable`` sets it, and so do ``signature_of``,
+``delete`` of a marked signature and the flips ``realizable_after_flip``
+allows, which the caller vouches for (``_flip_inplace(t, realizable=True)``).
+Every other change of a sign clears it, and a signature built from signs
+or bytes starts unmarked, so the registry verifies every payload it reads.
 """
 
 import struct
 from functools import cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from operator import itemgetter, rshift
 
@@ -51,11 +60,12 @@ _TO_SIGNS = str.maketrans("10", "+-")
 class Signature:
     """Triple signs held as per-vertex sign rows, with bit-lookup queries.
 
-    A pseudolinear drawing: ``kind``, ``sweeps`` and ``delete`` are shared
-    with ``geometry.PointSet``, so the counters take either kind.
+    A pseudolinear drawing: ``kind``, ``windows``, ``sweeps`` and ``delete``
+    are shared with ``geometry.PointSet``, so the counters take either
+    kind.
     """
 
-    __slots__ = ("n", "_rows")
+    __slots__ = ("n", "_rows", "_realizable")
     kind = "pseudo"
 
     def __init__(self, n, bits=None):
@@ -68,12 +78,14 @@ class Signature:
             raise ValueError(f"expected {nb} sign bytes, got {len(bits)}")
         self.n = n
         self._rows = _rows_from_packed(n, int.from_bytes(bits or b"", "little"))
+        self._realizable = False
 
     @classmethod
-    def _of_rows(cls, n, rows):
+    def _of_rows(cls, n, rows, realizable=False):
         D = object.__new__(cls)
         D.n = n
         D._rows = rows
+        D._realizable = realizable
         return D
 
     @classmethod
@@ -131,7 +143,7 @@ class Signature:
             self._flip_inplace((a, b, c))
 
     def copy(self):
-        return Signature._of_rows(self.n, [row[:] for row in self._rows])
+        return Signature._of_rows(self.n, [row[:] for row in self._rows], self._realizable)
 
     def _triple(self, t):
         """t sorted increasingly; ValueError unless it names three distinct
@@ -147,14 +159,23 @@ class Signature:
         out._flip_inplace(self._triple(t))
         return out
 
-    def _flip_inplace(self, t):
+    def _flip_inplace(self, t, realizable=False):
         """Reverse the sign of the distinct triple t: its bit in the rows
-        of all six ordered pairs."""
+        of all six ordered pairs.  The realizable mark stays only when
+        realizable is set, which says that ``realizable_after_flip``
+        allowed the flip."""
         a, b, c = t
         rows = self._rows
         for p, q, r in ((a, b, c), (b, c, a), (c, a, b)):
             rows[p][q] ^= 1 << r
             rows[q][p] ^= 1 << r
+        self._realizable = self._realizable and realizable
+
+    def windows(self):
+        """The bit count of every row: the window count of every ordered
+        pair (v, x), which its sweeps give too, and a 0 for each row
+        (v, v).  n^2 bit counts, no rotation sorted."""
+        return map(int.bit_count, chain.from_iterable(self._rows))
 
     def sweeps(self):
         """Each vertex's rotation and window counts (``_rotation_windows``),
@@ -164,7 +185,8 @@ class Signature:
 
     def delete(self, v):
         """The signature induced on the other vertices, indices shifted down:
-        bit v leaves every other row, n^2 int operations."""
+        bit v leaves every other row, n^2 int operations.  It is marked
+        realizable when this one is."""
         n = self.n
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} out of range")
@@ -179,6 +201,7 @@ class Signature:
                 [r >> 1 & high | r & low for r in row[:v] + row[v + 1 :]]
                 for row in rows[:v] + rows[v + 1 :]
             ],
+            self._realizable,
         )
 
     def __eq__(self, other):
@@ -322,7 +345,9 @@ def signature_of(S):
                     raise DegenerateError(f"collinear triple ({i}, {j}, {k})")
                 row.append("+" if o > 0 else "-")
         rows.append("".join(row))
-    return Signature.from_signs(n, "".join(rows))
+    D = Signature.from_signs(n, "".join(rows))
+    D._realizable = True
+    return D
 
 
 def _pair_crossing(sign, a, b, c, d):
@@ -489,12 +514,21 @@ def is_realizable(D):
     Appl. Math. 109, 2001).  The order costs O(n) bit counts, the
     relabelling two bit-matrix transposes per vertex, and the scan
     C(n-1, 3) steps over (n-1)-bit rows.  Every signature on 3 vertices is
-    realizable.
+    realizable.  The answer becomes D's realizable mark.
     """
-    if D.n < 4:
-        return True
-    order = _hull_order(D)
-    return order is not None and _is_signotope(D.n - 1, _relabelled_upper(D, order[1:]))
+    ok = D.n < 4
+    if not ok:
+        order = _hull_order(D)
+        ok = order is not None and _is_signotope(D.n - 1, _relabelled_upper(D, order[1:]))
+    D._realizable = ok
+    return ok
+
+
+def require_realizable(D):
+    """Raise ValueError unless the signature D is realizable: at once when
+    D is marked realizable, else by ``is_realizable``."""
+    if not (D._realizable or is_realizable(D)):
+        raise ValueError("signature is not realizable")
 
 
 def flip(D, t):

@@ -15,7 +15,7 @@ from math import comb, lcm
 
 import pytest
 
-from crossnum import heuristics
+from crossnum import heuristics, signatures
 from crossnum.doubling import double_points, double_signature
 from crossnum.geometry import (
     PointSet,
@@ -661,7 +661,7 @@ def test_nonrealizable_signature_rejected_before_first_step(monkeypatch):
         calls.append(E)
         return is_realizable(E)
 
-    monkeypatch.setattr(heuristics, "is_realizable", counted)
+    monkeypatch.setattr(signatures, "is_realizable", counted)
     steps = []
     for k in (1, 2, 3):
         with pytest.raises(ValueError, match="not realizable"):
@@ -669,8 +669,13 @@ def test_nonrealizable_signature_rejected_before_first_step(monkeypatch):
     with pytest.raises(ValueError, match="not realizable"):
         sig_flip_search(D, SearchBudget(max_steps=50), progress=lambda *a: steps.append(a))
     assert steps == [] and len(calls) == 4
-    # a realizable signature is checked once, not once per step
+    # a realizable signature is checked once, not once per step, and one
+    # marked realizable (here by signature_of) not at all
     calls.clear()
-    shrink(signature_of(_k2643(12)), 5, 2, emit=steps.append)
+    E = signature_of(_k2643(12))
+    shrink(Signature(12, E.to_bytes()), 5, 2, emit=steps.append)
     sig_flip_search(convex_signature(6), SearchBudget(max_steps=20), progress=lambda *a: steps.append(a))
     assert len(calls) == 2 and len(steps) == 4 + 20
+    shrink(E, 5, 2)
+    sig_flip_search(E, SearchBudget(max_steps=20))
+    assert len(calls) == 2

@@ -1,7 +1,10 @@
 """Registry: submissions re-verified from the payload, best-bound queries
 over every stored n, fsck, and directory merges."""
 
+import errno
+import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +13,9 @@ from crossnum import registry
 from crossnum.geometry import PointSet, count_crossings
 from crossnum.io import format_points, format_signature_text, save_points, save_signature
 from crossnum.registry import DrawingRecord, Registry, bound_for, verify
-from crossnum.signatures import Signature, convex_signature, count_crossings_sig, is_realizable
+from crossnum.signatures import Signature, convex_signature, count_crossings_sig, is_realizable, signature_of
+
+from conftest import convex_points, rand_general
 
 TRI = PointSet(((0, 0), (4, 1), (2, 5)))
 K5_CONVEX = PointSet(((0, 0), (10, 1), (13, 9), (5, 14), (-3, 8)))
@@ -69,9 +74,9 @@ def _counting(monkeypatch, name):
     calls = []
     real = getattr(registry, name)
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(registry, name, wrapper)
     return calls
@@ -99,6 +104,10 @@ def test_submit_drawing_rejects_uncertifiable(reg, tmp_path):
     # the two cyclic 4-vertex patterns have no hull vertex
     for bad in (_nonrealizable5(), Signature(4, b"\x05"), Signature(4, b"\x0a")):
         res = reg.submit_drawing(bad, "bad")
+        assert not res and "realizable" in res.reason
+        # a realizable mark does not travel with the payload
+        bad._realizable = True
+        res = reg.submit_drawing(bad, "marked")
         assert not res and "realizable" in res.reason
     assert reg.records() == [] and reg.fsck() == []
     with pytest.raises(LookupError):
@@ -200,3 +209,157 @@ def test_best_records_ordering(reg):
     vals = [r.bound.value for r in tops]
     assert vals == sorted(vals)
     assert reg.best_bound("rect")[0] == 4
+
+
+def _fill(reg, rng):
+    """Interleaved submits of both kinds, many improving a stored n."""
+    for n in range(3, 10):
+        assert reg.submit_drawing(convex_points(n), "convex")
+        assert reg.submit_drawing(convex_signature(n), "convex")
+        reg.submit_drawing(signature_of(rand_general(rng, n)), "random")
+    assert reg.submit_drawing(K5_ONE, "better")
+    assert reg.submit_drawing(K4_INNER, "better")
+
+
+def test_reads_after_submits_parse_nothing(reg, tmp_path, monkeypatch):
+    _fill(reg, random.Random(2105))
+    parses = _counting(monkeypatch, "_parse_index")
+    built = _counting(monkeypatch, "DrawingRecord")
+    for kind in ("rect", "pseudo"):
+        reg.records(kind)
+        reg.best_records(kind)
+        reg.best_records(kind, 3)
+        reg.best_bound(kind)
+        reg.get(kind, 5)
+    reg.records()
+    assert parses == [] and built == []
+
+    # a write by a second Registry on the directory: the next read parses
+    # the new index once, and the reads after it not at all
+    other = Registry(tmp_path / "reg")
+    assert other.submit_drawing(PointSet(((0, 0), (30, 1), (14, 29), (13, 8), (17, 9), (15, 13))), "other")
+    parses.clear()
+    built.clear()
+    assert reg.get("rect", 6).provenance == "other"
+    assert len(parses) == 1 and len(built) == len(reg.records())
+    reg.best_records("rect")
+    reg.records()
+    assert len(parses) == 1
+
+
+def test_best_records_follow_interleaved_submits(reg, tmp_path):
+    rng = random.Random(2106)
+    _fill(reg, rng)
+    for n in range(10, 14):
+        reg.submit_drawing(rand_general(rng, n), "random")
+        reg.submit_drawing(signature_of(rand_general(rng, n)), "random")
+        for kind in ("rect", "pseudo"):
+            ranked = sorted(reg.records(kind), key=lambda r: (r.bound.value, r.n))
+            assert reg.best_records(kind) == ranked
+            assert reg.best_records(kind, 2) == ranked[:2]
+            assert reg.best_bound(kind) == (ranked[0].n, ranked[0].bound)
+    # the records updated in place are the ones a fresh parse builds, and
+    # the index is json's compact sorted dump of the records' fields
+    fresh = Registry(tmp_path / "reg")
+    assert fresh.records() == reg.records()
+    assert all(fresh.best_records(k) == reg.best_records(k) for k in ("rect", "pseudo"))
+    with open(os.path.join(reg.path, "index.json"), encoding="utf-8") as fh:
+        text = fh.read()
+    index = json.loads(text)
+    assert text == json.dumps(index, sort_keys=True) + "\n"
+    assert index == {
+        kind: {
+            str(r.n): {
+                "crossings": r.crossings,
+                "bound": str(r.bound),
+                "payload": os.path.relpath(r.payload_path, reg.path),
+                "provenance": r.provenance,
+                "created_at": r.created_at,
+            }
+            for r in reg.records(kind)
+        }
+        for kind in ("rect", "pseudo")
+    }
+
+
+def _temp_files(reg):
+    return [
+        name
+        for d in ("", "rect", "pseudo")
+        for name in os.listdir(os.path.join(reg.path, d))
+        if name.startswith(".tmp-")
+    ]
+
+
+def test_failed_index_write(reg, tmp_path, monkeypatch):
+    assert reg.submit_drawing(TRI, "seed")
+    real = os.replace
+
+    def refuse_index(src, dst):
+        if os.path.basename(dst) == "index.json":
+            raise OSError(errno.ENOSPC, "no space left")
+        return real(src, dst)
+
+    monkeypatch.setattr(registry.os, "replace", refuse_index)
+    with pytest.raises(OSError):
+        reg.submit_drawing(K4_INNER, "lost")
+    monkeypatch.undo()
+    assert _temp_files(reg) == []
+    assert reg.get("rect", 4) is None
+    assert reg.records() == Registry(tmp_path / "reg").records()
+    assert [r.n for r in reg.records()] == [3]
+    # the payload landed before the index failed: fsck reports it, and the
+    # next accepted submit writes an index without it
+    assert reg.fsck() == [f"{os.path.join('rect', 'n4.pts')}: orphan payload (not in the index)"]
+    assert reg.submit_drawing(K5_ONE, "next")
+    with open(os.path.join(reg.path, "index.json"), encoding="utf-8") as fh:
+        assert sorted(json.load(fh)["rect"]) == ["3", "5"]
+
+
+def test_failed_payload_write(reg, monkeypatch):
+    assert reg.submit_drawing(TRI, "seed")
+    temp_fds = []
+    real_open, real_write = os.open, os.write
+
+    def recording_open(path, *args):
+        fd = real_open(path, *args)
+        if os.path.basename(path).startswith(".tmp-"):
+            temp_fds.append(fd)
+        return fd
+
+    def failing_write(fd, data):
+        if fd in temp_fds:
+            raise OSError(errno.ENOSPC, "no space left")
+        return real_write(fd, data)
+
+    monkeypatch.setattr(registry.os, "open", recording_open)
+    monkeypatch.setattr(registry.os, "write", failing_write)
+    with pytest.raises(OSError):
+        reg.submit_drawing(K5_ONE, "lost")
+    monkeypatch.undo()
+    assert len(temp_fds) == 1 and _temp_files(reg) == []
+    assert [r.n for r in reg.records()] == [3] and reg.fsck() == []
+
+
+def test_fsck_sees_edits_behind_the_instance(reg):
+    reg.submit_drawing(TRI, "seed")
+    reg.submit_drawing(K5_ONE, "best")
+    assert reg.fsck() == [] and reg.get("rect", 5).crossings == 1
+    victim = reg.get("rect", 5).payload_path
+    with open(victim) as fh:
+        orig = fh.read()
+    with open(victim, "w") as fh:
+        fh.write(format_points(K5_CONVEX))
+    assert any("recount 5" in p for p in reg.fsck())
+    with open(victim, "w") as fh:
+        fh.write(orig)
+    assert reg.fsck() == []
+
+    index_path = os.path.join(reg.path, "index.json")
+    with open(index_path) as fh:
+        index = json.load(fh)
+    index["rect"]["5"]["crossings"] = 3
+    with open(index_path, "w") as fh:
+        json.dump(index, fh, indent=2)
+    assert reg.get("rect", 5).crossings == 3
+    assert any("stored crossings 3 != recount 1" in p for p in reg.fsck())

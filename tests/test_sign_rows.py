@@ -13,13 +13,14 @@ back to per-triple sign queries.
 import random
 from functools import cache, cmp_to_key
 from importlib import resources
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import comb
 
 import pytest
 
 from crossnum.doubling import double_points, double_signature
-from crossnum.geometry import PointSet, count_crossings, removal_values
+from crossnum import signatures
+from crossnum.geometry import PointSet, count_crossings, crossings_from_windows, removal_values
 from crossnum.halving import halving_matching, halving_matching_sig, slot_partner
 from crossnum.heuristics import SearchBudget, sig_flip_search
 from crossnum.io import load_points
@@ -76,6 +77,9 @@ class PackedSignature:
 
     def sweeps(self):
         return (rotation_windows_oracle(self, v) for v in range(self.n))
+
+    def windows(self):
+        return chain.from_iterable(avals for _, avals in self.sweeps())
 
     def delete(self, v):
         return relabel_oracle(self, [x for x in range(self.n) if x != v])
@@ -335,3 +339,29 @@ def test_row_paths_make_no_sign_queries(no_sign_queries):
     assert D.delete(5).to_bytes() == P.delete(5).to_bytes()
     assert is_realizable(D)
     assert realizable_after_flip(D, (1, 2, 3)) == realizable_after_flip_oracle(P, (1, 2, 3))
+
+
+def _sweep_count(D):
+    """The crossing count summed over the rotation sweeps' windows."""
+    return crossings_from_windows(D.n, chain.from_iterable(avals for _, avals in D.sweeps()))
+
+
+def test_signature_count_matches_rotation_sweeps(monkeypatch):
+    # k2643 samples, the chain and random realizable signatures (of random
+    # point sets, and flip-search walks from them): the row bit counts are
+    # the sweeps' windows plus one 0 per vertex, so the counts agree
+    rng = random.Random(2101)
+    sigs = [signature_of(k2643_subset(n, n)) for n in (12, 24, 28, 96)]
+    sigs += [signature_of(S) for S in chain_sets() if S.n > 3]
+    sigs += [signature_of(rand_general(rng, n)) for n in range(4, 15)]
+    sigs += [sig_flip_search(D, SearchBudget(max_steps=200, rng_seed=D.n)) for D in sigs[-4:]]
+    counts = [_sweep_count(D) for D in sigs]
+    for D in sigs:
+        windows = sorted(chain.from_iterable(avals for _, avals in D.sweeps()))
+        assert sorted(D.windows()) == [0] * D.n + windows, D.n
+
+    def refuse(D, v):
+        raise AssertionError("rotation sorted by a signature count")
+
+    monkeypatch.setattr(signatures, "_rotation_windows", refuse)
+    assert [count_crossings_sig(D) for D in sigs] == counts

@@ -13,7 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crossnum
-from crossnum.geometry import DegenerateError, count_crossings, orient, removal_values, sweep_around
+from crossnum import signatures
+from crossnum.doubling import double_points, double_signature
+from crossnum.halving import halving_matching, halving_matching_sig
+from crossnum.heuristics import SearchBudget, shrink, sig_flip_search
+from crossnum.geometry import DegenerateError, PointSet, count_crossings, orient, removal_values, sweep_around
 from crossnum.signatures import (
     Signature,
     convex_signature,
@@ -481,3 +485,58 @@ def test_catalog_dual_route():
     assert frozenset(geo) == realizable5()
     assert len(geo) == 264
     assert 0b1111111111 in geo  # convex position
+
+
+def test_realizable_mark():
+    # set by signature_of, a True from is_realizable, double_signature, delete
+    # of a marked signature and kept flips; cleared by every other change of
+    # a sign; a signature built from bytes or signs starts unmarked
+    D = signature_of(rand_general(random.Random(2102), 9))
+    assert D._realizable
+    E = Signature(D.n, D.to_bytes())
+    assert E == D and not E._realizable
+    assert not Signature.from_signs(D.n, D.signs())._realizable
+    assert not E.delete(3)._realizable and not E.copy()._realizable
+    assert D.delete(3)._realizable and D.copy()._realizable
+    assert is_realizable(E) and E._realizable
+    t = (0, 1, 2)
+    assert not D.flip(t)._realizable and D._realizable
+    F = D.copy()
+    F.set_sign(*t, F.sign(*t))  # the same sign: nothing changes
+    assert F._realizable
+    F.set_sign(*t, -F.sign(*t))
+    assert not F._realizable
+    F = D.copy()
+    F._flip_inplace(t)
+    assert not F._realizable
+    assert sig_flip_search(E, SearchBudget(max_steps=60, rng_seed=1))._realizable
+
+    S = PointSet(((0, 0), (1, 0), (0, 1)))
+    while S.n < 12:
+        S, _ = double_points(S, halving_matching(S))
+    C = Signature(12, signature_of(S).to_bytes())
+    D2, _ = double_signature(C, halving_matching_sig(C))
+    assert D2._realizable
+
+
+def test_marked_signatures_skip_the_opening_check(monkeypatch):
+    calls = []
+    real = signatures.is_realizable
+    monkeypatch.setattr(signatures, "is_realizable", lambda D: calls.append(D.n) or real(D))
+    D = signature_of(rand_general(random.Random(2103), 10))
+    shrink(D, 6, 2)
+    sig_flip_search(D, SearchBudget(max_steps=40, rng_seed=2))
+    assert calls == []
+    shrink(Signature(D.n, D.to_bytes()), 6)
+    assert calls == [10]
+
+
+def test_marked_signature_broken_by_set_sign_is_rejected():
+    D = signature_of(rand_general(random.Random(2104), 8))
+    t = next(t for t in combinations(range(8), 3) if not realizable_after_flip(D, t))
+    D.set_sign(*t, -D.sign(*t))
+    assert not is_realizable(Signature(8, D.to_bytes()))
+    with pytest.raises(ValueError, match="not realizable"):
+        shrink(D.copy(), 5)
+    with pytest.raises(ValueError, match="not realizable"):
+        sig_flip_search(D.copy(), SearchBudget(max_steps=5))
