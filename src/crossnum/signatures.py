@@ -31,8 +31,12 @@ realizable signature too; ``count_crossings_sig`` and ``removal_values_sig``
 are those same functions under their signature names.
 
 Realizability is decided by a hull vertex plus the signotope axiom on
-4-subsets (``is_realizable``); whether one flip keeps a realizable signature
-realizable is decided from three rows (``realizable_after_flip``).
+4-subsets (``is_realizable``).  The scan needs no transposes: each vertex's
+rows, taken in hull order, form a bit matrix whose columns keep their
+labels, and one pair of vertices tests all of its 4-subsets in a few
+operations per tile of at most 4096 bits (``_signotope_scan``).  Whether one
+flip keeps a realizable signature realizable is decided from three rows
+(``realizable_after_flip``).
 ``_hull_order`` is the one place that finds an extreme vertex; the SVG
 wiring diagram starts its sweep from it too.
 
@@ -49,7 +53,7 @@ import struct
 from functools import cache
 from itertools import chain, combinations
 from math import comb
-from operator import itemgetter, rshift
+from operator import itemgetter
 
 from .geometry import DegenerateError, count_crossings, orient, removal_values, _points
 
@@ -457,53 +461,74 @@ def _hull_order(D):
     return order
 
 
-def _relabelled_upper(D, order):
-    """up[a][b], a < b: the signs sign(order[a], order[b], order[k]) of all
-    k > b at bit k - b - 1 (1 for +), for a < len(order) - 2; the upper rows
-    of D relabelled by order, shifted down.
+# the widest bit matrix the scan works on: at n = 96 and 192 tiles of 2048
+# and 4096 bits run alike, 8192-bit tiles and whole matrices are slower
+_TILE_BITS = 4096
 
-    Two transposes per vertex p = order[a]: p's rows taken in order are
-    transposed, so that the rows of the transpose are indexed by the third
-    vertex; taking those in order too and transposing back renumbers the
-    third vertex as well.
+
+def _signotope_scan(D, order):
+    """Whether the signs of the vertices order[0..m-1], relabelled 0..m-1
+    in that order, form a signotope: no 4-subset a < b < c < d changes sign
+    twice along abc, abd, acd, bcd.
+
+    R[a] holds vertex order[a]'s rows in that order, in tiles of T rows of
+    N bits and at most _TILE_BITS bits each: its row c is the row
+    (order[a], order[c]), whose columns keep their labels.  One pair a < b
+    tests every (c, d) at once, tile by tile: acd is R[a] and bcd is R[b];
+    abd is the row (order[a], order[b]) copied onto every row; abc is the
+    complement of column order[b] of R[a] spread across each row, as
+    sign(a, b, c) = -sign(a, c, b).  Row c of masks holds the labels whose
+    position in order is above c, and the pair's first tile drops its rows
+    up to b.  No transposes; one step per pair and tile.
     """
     m = len(order)
     N = _side(D.n)
     B = N // 8
+    T = min(m, _TILE_BITS // N)
+    starts = range(0, m, T)
+    rows = D._rows
     pick = itemgetter(*order)
-    up = []
+    R = []
     for a in range(m - 2):
-        T = _transpose(_pack(pick(D._rows[order[a]]), B), N)
-        R = _transpose(_pack(pick(_unpack(T, D.n, B)), B), N)
-        up.append(list(map(rshift, _unpack(R, m, B), range(1, m + 1))))
-    return up
-
-
-def _is_signotope(m, row):
-    """Whether every 4-subset a < b < c < d of m vertices changes sign at
-    most once along abc, abd, acd, bcd.
-
-    row[a][b] holds sign(a, b, k) for all k > b at bit k - b - 1
-    (``_relabelled_upper``), so one (a, b, c) tests every d > c at once.
-    """
+        picked = pick(rows[order[a]])
+        R.append([_pack(picked[s : s + T], B) for s in starts])
+    cols = [0] * m
+    above = 0
+    for c in reversed(range(m)):
+        cols[c] = above
+        above |= 1 << order[c]
+    masks = [_pack(cols[s : s + T], B) for s in starts]
+    # first[b]: the mask of the tile holding row b + 1, from that row on
+    first = [masks[(b + 1) // T] >> ((b + 1) % T * N) << ((b + 1) % T * N) for b in range(m - 2)]
+    firsts = int.from_bytes(b"\x01".ljust(B, b"\x00") * T, "little")  # bit 0 of each row
+    tiles = len(starts)
     for a in range(m - 3):
-        ra = row[a]
+        Ra = R[a]
+        ra = rows[order[a]]
         for b in range(a + 1, m - 2):
-            rab = ra[b]
-            rb = row[b]
-            for c in range(b + 1, m - 1):
-                x = rab >> (c - b - 1)  # bit 0: abc, bit d - c: abd
-                abd = x >> 1
-                change1 = abd ^ ((1 << (m - 1 - c)) - 1) if x & 1 else abd
-                change2 = abd ^ ra[c]
-                change3 = ra[c] ^ rb[c]
-                if change1 & change2 | change3 & (change1 | change2):
+            Rb = R[b]
+            ob = order[b]
+            abd = ra[ob] * firsts
+            t = (b + 1) // T
+            mask = first[b]
+            while True:
+                acd = Ra[t]
+                s = acd >> ob & firsts
+                change1 = (s << N) - s ^ abd ^ mask  # abc ^ abd inside mask
+                change2 = abd ^ acd
+                change3 = acd ^ Rb[t]
+                if (change1 & change2 | change3 & (change1 | change2)) & mask:
                     return False
+                t += 1
+                if t == tiles:
+                    break
+                mask = masks[t]
     return True
 
 
 def is_realizable(D):
-    """Whether D is the signature of an arrangement of pseudolines, in O(n^4).
+    """Whether D is the signature of an arrangement of pseudolines, in O(n^4)
+    bit operations.
 
     _hull_order gives a vertex h and an order p_0..p_{n-2} of the others
     with every sign(h, p_i, p_j), i < j, positive, or None, and then D is
@@ -511,15 +536,17 @@ def is_realizable(D):
     signs of p_0..p_{n-2} form a signotope: along abc, abd, acd, bcd every
     4-subset changes sign at most once (Knuth, Axioms and Hulls, LNCS 606,
     1992; Felsner & Weil, Sweeps, arrangements and signotopes, Discrete
-    Appl. Math. 109, 2001).  The order costs O(n) bit counts, the
-    relabelling two bit-matrix transposes per vertex, and the scan
-    C(n-1, 3) steps over (n-1)-bit rows.  Every signature on 3 vertices is
-    realizable.  The answer becomes D's realizable mark.
+    Appl. Math. 109, 2001).  The order costs O(n) bit counts, and the scan
+    (``_signotope_scan``) one step per pair a < b of the others and row
+    tile from row b + 1 on, each a dozen operations on ints of at most 4096
+    bits: C(n-3, 2) steps up to n = 64, where one tile holds every row.
+    Every signature on 3 vertices is realizable.  The answer becomes D's
+    realizable mark.
     """
     ok = D.n < 4
     if not ok:
         order = _hull_order(D)
-        ok = order is not None and _is_signotope(D.n - 1, _relabelled_upper(D, order[1:]))
+        ok = order is not None and _signotope_scan(D, order[1:])
     D._realizable = ok
     return ok
 

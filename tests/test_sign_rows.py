@@ -8,6 +8,10 @@ oracles.  Every row operation must agree with them on the signatures of the
 doubling chain and of k2643 subsets up to n = 96, on flip-search outputs and
 on arbitrary signs.  The guard tests check that the row paths never fall
 back to per-triple sign queries.
+
+The realizability scan that relabels the rows by bit-matrix transposes and
+then steps over one triple (a, b, c) at a time is kept here too, as the
+oracle of the tiled scan that replaced it.
 """
 
 import random
@@ -15,6 +19,7 @@ from functools import cache, cmp_to_key
 from importlib import resources
 from itertools import chain, combinations, permutations
 from math import comb
+from operator import itemgetter, rshift
 
 import pytest
 
@@ -32,6 +37,12 @@ from crossnum.signatures import (
     removal_values_sig,
     rotation,
     signature_of,
+    _hull_order,
+    _pack,
+    _side,
+    _signotope_scan,
+    _transpose,
+    _unpack,
 )
 
 from conftest import rand_general
@@ -159,6 +170,51 @@ def is_realizable_oracle(D):
         seq = [E.sign(*t) for t in ((a, b, c), (a, b, d), (a, c, d), (b, c, d))]
         if sum(1 for s, t in zip(seq, seq[1:]) if s != t) > 1:
             return False
+    return True
+
+
+def relabelled_upper(D, order):
+    """up[a][b], a < b: the signs sign(order[a], order[b], order[k]) of all
+    k > b at bit k - b - 1 (1 for +), for a < len(order) - 2; the upper rows
+    of D relabelled by order, shifted down.
+
+    Two transposes per vertex p = order[a]: p's rows taken in order are
+    transposed, so that the rows of the transpose are indexed by the third
+    vertex; taking those in order too and transposing back renumbers the
+    third vertex as well.
+    """
+    m = len(order)
+    N = _side(D.n)
+    B = N // 8
+    pick = itemgetter(*order)
+    up = []
+    for a in range(m - 2):
+        T = _transpose(_pack(pick(D._rows[order[a]]), B), N)
+        R = _transpose(_pack(pick(_unpack(T, D.n, B)), B), N)
+        up.append(list(map(rshift, _unpack(R, m, B), range(1, m + 1))))
+    return up
+
+
+def is_signotope_oracle(m, row):
+    """Whether every 4-subset a < b < c < d of m vertices changes sign at
+    most once along abc, abd, acd, bcd.
+
+    row[a][b] holds sign(a, b, k) for all k > b at bit k - b - 1
+    (``relabelled_upper``), so one (a, b, c) tests every d > c at once.
+    """
+    for a in range(m - 3):
+        ra = row[a]
+        for b in range(a + 1, m - 2):
+            rab = ra[b]
+            rb = row[b]
+            for c in range(b + 1, m - 1):
+                x = rab >> (c - b - 1)  # bit 0: abc, bit d - c: abd
+                abd = x >> 1
+                change1 = abd ^ ((1 << (m - 1 - c)) - 1) if x & 1 else abd
+                change2 = abd ^ ra[c]
+                change3 = ra[c] ^ rb[c]
+                if change1 & change2 | change3 & (change1 | change2):
+                    return False
     return True
 
 
@@ -291,6 +347,63 @@ def _flipped(P, t):
     Q = PackedSignature(P.n, P.to_bytes())
     Q.flip_inplace(t)
     return Q
+
+
+def test_relabel_matches_set_sign_oracle():
+    # the transposed relabel of the scan oracle, against the per-triple
+    # relabel
+    rng = random.Random(1702)
+    for n in range(3, 13):
+        for _ in range(4):
+            D = Signature(n, bytes(rng.getrandbits(8) for _ in range((comb(n, 3) + 7) // 8)))
+            for order in (rng.sample(range(n), n), rng.sample(range(n), rng.randint(3, n))):
+                m = len(order)
+                E = relabel_oracle(D, order)
+                up = relabelled_upper(D, order)
+                assert len(up) == max(m - 2, 0)
+                for a, b in combinations(range(m), 2):
+                    if a < m - 2:
+                        want = sum(1 << (k - b - 1) for k in range(b + 1, m) if E.sign(a, b, k) > 0)
+                        assert up[a][b] == want, (n, order, a, b)
+
+
+def test_scan_matches_relabel_oracle():
+    # chain and k2643 signatures up to n = 96, where the scan takes more
+    # than one tile, and random point sets' signatures up to n = 12; every
+    # flip of those up to n = 12 and 40 random flips of the others, and a
+    # walk of the flips realizable_after_flip allows: the tiled scan and
+    # is_realizable agree with the transposed relabel and the
+    # one-triple-at-a-time scan
+    rng = random.Random(2201)
+    starts = [signature_of(S) for S in chain_sets() if S.n >= 6]
+    starts += [signature_of(k2643_subset(n, n)) for n in (24, 28, 48, 70, 96)]
+    starts += [signature_of(rand_general(rng, n)) for n in range(5, 13) for _ in range(2)]
+    assert max(D.n for D in starts) > 64
+    outcomes = set()
+
+    def check(D):
+        order = _hull_order(D)
+        if order is None:
+            assert not is_realizable(D)
+            return
+        want = is_signotope_oracle(D.n - 1, relabelled_upper(D, order[1:]))
+        assert _signotope_scan(D, order[1:]) == want, D.n
+        assert is_realizable(D) == want, D.n
+        outcomes.add((D.n > 64, want))
+
+    for D in starts:
+        n = D.n
+        check(D)
+        flips = combinations(range(n), 3) if n <= 12 else (rng.sample(range(n), 3) for _ in range(40))
+        for t in flips:
+            check(D.flip(t))
+        E = D.copy()
+        for _ in range(20):
+            t = E._triple(rng.sample(range(n), 3))
+            if realizable_after_flip(E, t):
+                E._flip_inplace(t)
+                check(E)
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_arbitrary_signs_match_packed_oracle():

@@ -30,7 +30,6 @@ from crossnum.signatures import (
     removal_values_sig,
     rotation,
     signature_of,
-    _relabelled_upper,
 )
 
 from conftest import rand_general
@@ -240,31 +239,6 @@ def test_signs_round_trip_and_agree_with_sign():
 def test_from_signs_rejects_malformed(n, signs):
     with pytest.raises(ValueError):
         Signature.from_signs(n, signs)
-
-
-def _relabel_oracle(D, order):
-    out = Signature(len(order))
-    for i, j, k in combinations(range(len(order)), 3):
-        out.set_sign(i, j, k, D.sign(order[i], order[j], order[k]))
-    return out
-
-
-def test_relabel_matches_set_sign_oracle():
-    # the relabelled upper rows that is_realizable scans, against the
-    # per-triple relabel
-    rng = random.Random(1702)
-    for n in range(3, 13):
-        for _ in range(4):
-            D = _random_signature(rng, n)
-            for order in (rng.sample(range(n), n), rng.sample(range(n), rng.randint(3, n))):
-                m = len(order)
-                E = _relabel_oracle(D, order)
-                up = _relabelled_upper(D, order)
-                assert len(up) == max(m - 2, 0)
-                for a, b in combinations(range(m), 2):
-                    if a < m - 2:
-                        want = sum(1 << (k - b - 1) for k in range(b + 1, m) if E.sign(a, b, k) > 0)
-                        assert up[a][b] == want, (n, order, a, b)
 
 
 def test_signature_of_matches_orient():
