@@ -1,9 +1,11 @@
 """Local-search heuristics over point sets and signatures, plus greedy shrinking.
 
 All searches are seeded and deterministic: the same input and the same
-``SearchBudget.rng_seed`` produce the same output drawing.  Acceptance is
-never worse-than-current (``<=`` only), so the best crossing count is
-monotone non-increasing over every run.
+``SearchBudget.rng_seed`` produce the same output drawing.  Flip search
+draws its triples exactly as ``random.sample`` draws them (``_triples``),
+so its outputs are those of a ``sample`` loop from the same seed.
+Acceptance is never worse-than-current (``<=`` only), so the best crossing
+count is monotone non-increasing over every run.
 """
 
 import random
@@ -24,7 +26,7 @@ from .geometry import (
     removal_values,
     triple_crossings,
 )
-from .signatures import Signature, realizable_after_flip, require_realizable
+from .signatures import Signature, _keeps_realizable, require_realizable
 
 _DIRECTION_RANGE = 10**9
 
@@ -304,39 +306,93 @@ def cell_walk(S, v, budget, mode="random", progress=None, on_state=None):
     return PointSet(tuple(out))
 
 
+def _triples(rng, n):
+    """Endless sorted triples of distinct vertices in 0..n - 1: each is
+    ``sorted(rng.sample(range(n), 3))``, drawn by the same ``getrandbits``
+    calls without sample's per-call overhead.
+
+    sample's ``_randbelow(m)`` redraws ``getrandbits(m.bit_length())`` until
+    the value is below m.  For a population of at most 21 (3 picks) sample
+    draws positions in a pool below n, n - 1 and n - 2 in turn, moving the
+    pool's last member into each vacancy: the first pick x leaves n - 1 at
+    position x, and the second b leaves at position b what position n - 2
+    held.  Above 21 it draws below n until it meets a vertex not picked
+    yet.
+    """
+    bits = rng.getrandbits
+    k0, k1, k2 = n.bit_length(), (n - 1).bit_length(), (n - 2).bit_length()
+    pool = n <= 21
+    while True:
+        x = bits(k0)
+        while x >= n:
+            x = bits(k0)
+        if pool:
+            b = bits(k1)
+            while b >= n - 1:
+                b = bits(k1)
+            c = bits(k2)
+            while c >= n - 2:
+                c = bits(k2)
+            y = n - 1 if b == x else b
+            if c == b:
+                z = n - 1 if x == n - 2 else n - 2
+            else:
+                z = n - 1 if c == x else c
+        else:
+            y = bits(k0)
+            while y >= n or y == x:
+                y = bits(k0)
+            z = bits(k0)
+            while z >= n or z == x or z == y:
+                z = bits(k0)
+        if x > y:
+            x, y = y, x
+        if y > z:
+            y, z = z, y
+            if x > y:
+                x, y = y, x
+        yield x, y, z
+
+
 def sig_flip_search(D, budget, progress=None):
     """Flip random triple orientations, keeping realizable non-worsening flips.
 
-    Each step picks one uniformly random triple; its flip is kept when the
-    new crossing count does not exceed the current one and the flipped
-    signature is still realizable (``realizable_after_flip``).  The count
-    starts from ``geometry.left_table`` of the n rotations, and a flip
-    changes it by an O(1) left-count delta; the table changes in six
-    entries per kept flip.  The delta is exact whenever the flip keeps the
-    signature realizable, and only such flips are kept, so every decision
-    equals the one a recount would give.  The input must be realizable,
-    checked once by ``require_realizable`` (ValueError otherwise); the
-    result then is as well, and is marked so.
+    Each step picks one uniformly random triple, the draws of
+    ``random.sample`` (``_triples``); its flip is kept when the flipped
+    signature is still realizable and the new crossing count does not
+    exceed the current one.  Realizability comes first, from the
+    triangular-cell test (``signatures._keeps_realizable``, the rule of
+    ``realizable_after_flip``), which few triples pass; only those read
+    their sign and score the flip.  The left table is the bit count of
+    every sign row (``windows()``, row (v, x) at v * n + x, no rotation
+    sorted), the count starts from it, and a flip changes it by an O(1)
+    left-count delta; the table changes in six entries per kept flip.
+    The delta is exact whenever the flip keeps the signature realizable,
+    and only such flips are kept, so every decision equals the one a
+    recount would give.  The input must be realizable, checked once by
+    ``require_realizable`` (ValueError otherwise); the result then is as
+    well, and is marked so.
     """
     require_realizable(D)
     cur = D.copy()
     n = cur.n
-    rng = random.Random(budget.rng_seed)
-    L = left_table(n, cur.sweeps())[0]
+    L = list(cur.windows())
     cr = crossings_from_windows(n, L)
     best_cr = cr
+    draws = _triples(random.Random(budget.rng_seed), n)
     steps = 0
     start = time.monotonic()
     while not budget.exhausted(steps, start):
-        i, j, k = sorted(rng.sample(range(n), 3))
-        tri = (i, j, k) if cur.sign(i, j, k) > 0 else (i, k, j)
-        delta = _left_delta(n, L, *tri)
+        i, j, k = next(draws)
         steps += 1
-        if delta <= 0 and realizable_after_flip(cur, (i, j, k)):
-            cur._flip_inplace((i, j, k), realizable=True)
-            _left_update(n, L, *tri)
-            cr += delta
-            best_cr = min(best_cr, cr)
+        if _keeps_realizable(cur, i, j, k):
+            tri = (i, j, k) if cur.sign(i, j, k) > 0 else (i, k, j)
+            delta = _left_delta(n, L, *tri)
+            if delta <= 0:
+                cur._flip_inplace((i, j, k), realizable=True)
+                _left_update(n, L, *tri)
+                cr += delta
+                best_cr = min(best_cr, cr)
         if progress is not None:
             progress(steps, cr, best_cr)
     return cur

@@ -582,11 +582,18 @@ def realizable_after_flip(D, t):
     on 3 vertices.  Raises ValueError unless t names three distinct
     vertices of D.
     """
-    i, j, k = D._triple(t)
-    rows = D._rows
+    return _keeps_realizable(D, *D._triple(t))
+
+
+def _keeps_realizable(D, i, j, k):
+    """``realizable_after_flip`` for a triple i < j < k of distinct
+    vertices of D, unchecked: the triangular-cell test alone, which flip
+    search runs on every step."""
+    ri = D._rows[i]
+    rij = ri[j]
     others = ((1 << D.n) - 1) ^ (1 << i) ^ (1 << j) ^ (1 << k)
-    x = (rows[i][j] ^ rows[i][k]) & others  # s1 != s2
-    y = (rows[i][j] ^ rows[j][k]) & others  # s1 != s3
+    x = (rij ^ ri[k]) & others  # s1 != s2
+    y = (rij ^ D._rows[j][k]) & others  # s1 != s3
     if x & ~y:
         return False
     # x, y ^ x and others ^ y: the vertices that see i, k and j in the middle

@@ -3,11 +3,13 @@ monotonicity, and the greedy shrink against brute subset oracles.
 
 The left-count delta and the rotation tables are checked against the O(n)
 and O(n^4) 4-subset scans they replaced (_flip_delta, _involvements), and
-the integer ray step against the Fraction one (_ray_step_oracle), all kept
-here as oracles."""
+the integer ray step against the Fraction one (_ray_step_oracle), and flip
+search against its rotation-table, ``rng.sample`` loop
+(sig_flip_search_oracle), all kept here as oracles."""
 
 import hashlib
 import random
+import time
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations
@@ -51,6 +53,7 @@ from crossnum.signatures import (
     is_realizable,
     realizable_after_flip,
     removal_values_sig,
+    require_realizable,
     signature_of,
 )
 from crossnum.io import format_drawing, load_points
@@ -415,6 +418,117 @@ def _best_removal_tuple_oracle(drawing, k):
         if best is None or c < best[0]:
             best = (c, sub)
     return best[1]
+
+
+def sig_flip_search_oracle(D, budget, progress=None):
+    """sig_flip_search as it was before it ran on its sign rows: the left
+    table from the n sorted rotations, each triple from ``rng.sample``,
+    the delta before the validating ``realizable_after_flip``."""
+    require_realizable(D)
+    cur = D.copy()
+    n = cur.n
+    rng = random.Random(budget.rng_seed)
+    L = left_table(n, cur.sweeps())[0]
+    cr = crossings_from_windows(n, L)
+    best_cr = cr
+    steps = 0
+    start = time.monotonic()
+    while not budget.exhausted(steps, start):
+        i, j, k = sorted(rng.sample(range(n), 3))
+        tri = (i, j, k) if cur.sign(i, j, k) > 0 else (i, k, j)
+        delta = _left_delta(n, L, *tri)
+        steps += 1
+        if delta <= 0 and realizable_after_flip(cur, (i, j, k)):
+            cur._flip_inplace((i, j, k), realizable=True)
+            _left_update(n, L, *tri)
+            cr += delta
+            best_cr = min(best_cr, cr)
+        if progress is not None:
+            progress(steps, cr, best_cr)
+    return cur
+
+
+def _k2643_sample(n):
+    golden = load_points(str(resources.files("crossnum.data") / "k2643.txt"))
+    return PointSet(tuple(random.Random(0).sample(list(golden), n)))
+
+
+def _flip_signatures():
+    """Chain signatures n = 6, 12, 24, 48 and k2643 sample signatures
+    n = 12 ... 96, labelled."""
+    out = []
+    S = PointSet(((0, 0), (1, 0), (0, 1)))
+    while S.n < 48:
+        S, _ = double_points(S, halving_matching(S))
+        if S.n >= 6:
+            out.append((f"chain{S.n}", signature_of(S)))
+    for n in (12, 21, 22, 24, 28, 48, 96):
+        out.append((f"k2643-{n}", signature_of(_k2643_sample(n))))
+    return out
+
+
+def test_sig_flip_search_matches_oracle():
+    sigs = [("convex5", convex_signature(5)), ("convex6", convex_signature(6))]
+    sigs += _flip_signatures()
+    # unmarked, so the opening check runs is_realizable on both sides
+    sigs.append(("parsed24", Signature(24, dict(sigs)["k2643-24"].to_bytes())))
+    budgets = [SearchBudget(max_steps=m, rng_seed=s) for s in range(4) for m in (0, 1, 300)]
+    budgets += [SearchBudget(wall_time=0, rng_seed=s) for s in range(4)]
+    kept = 0
+    for label, D in sigs:
+        for b in budgets:
+            got, want = [], []
+            out = sig_flip_search(D, b, progress=lambda *c: got.append(c))
+            ref = sig_flip_search_oracle(D, b, progress=lambda *c: want.append(c))
+            assert out == ref and got == want, (label, b)
+            assert out._realizable and ref._realizable, (label, b)
+            assert len(got) == (b.max_steps or 0)
+            kept += out != D
+    assert kept > 0  # some searches keep a flip, so the table update runs
+
+
+@pytest.mark.parametrize("n", range(3, 45))
+def test_triples_draw_like_sample(n):
+    # sample uses its pool up to n = 21 and its set from n = 22
+    for seed in range(30):
+        rng = random.Random(seed)
+        draws = heuristics._triples(random.Random(seed), n)
+        for _ in range(50):
+            assert next(draws) == tuple(sorted(rng.sample(range(n), 3))), (n, seed)
+
+
+def test_windows_table_matches_left_table():
+    rng = random.Random(2301)
+    for label, D in _flip_signatures():
+        n = D.n
+        assert list(D.windows()) == left_table(n, D.sweeps())[0].tolist(), label
+        # a walk of the flips realizable_after_flip allows
+        E = D.copy()
+        kept = tries = 0
+        while kept < 10 and tries < 5000:
+            tries += 1
+            t = tuple(sorted(rng.sample(range(n), 3)))
+            if realizable_after_flip(E, t):
+                E._flip_inplace(t, realizable=True)
+                kept += 1
+                assert list(E.windows()) == left_table(n, E.sweeps())[0].tolist(), (label, t)
+        assert kept > 0, label
+
+
+def test_keeps_realizable_matches_realizable_after_flip():
+    rng = random.Random(2302)
+    for label, D in _flip_signatures():
+        n = D.n
+        if n <= 12:
+            triples = combinations(range(n), 3)
+        else:
+            triples = (tuple(sorted(rng.sample(range(n), 3))) for _ in range(200))
+        for t in triples:
+            assert signatures._keeps_realizable(D, *t) == realizable_after_flip(D, t), (label, t)
+    D = convex_signature(6)
+    for t in ((0, 0, 1), (1, 2, 1), (0, 1, 6), (-1, 2, 3)):
+        with pytest.raises(ValueError):
+            realizable_after_flip(D, t)
 
 
 def _sweeps(drawing):
