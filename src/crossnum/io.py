@@ -147,7 +147,8 @@ def signature_from_binary(blob):
         D = Signature(n, bits)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    if D.to_bytes() != bits:
+    used = comb(n, 3) % 8  # sign bits in the last byte; the rest are padding
+    if used and bits[-1] >> used:
         raise ParseError("nonzero padding bits")
     return D
 

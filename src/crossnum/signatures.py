@@ -17,10 +17,13 @@ every row.  The rows are the only representation held.
 The io and registry format is the packed one: one bit per lexicographically
 ranked triple (1 means +), LSB first inside each byte, the padding bits of
 the last byte 0.  ``Signature(n, bits)`` builds the rows from those bytes
-with two bit-matrix transposes per vertex (``_rows_from_packed``), and
-``to_bytes`` packs them back; ``Signature.from_signs`` and
-``Signature.signs`` do the same for C(n, 3) '+'/'-' characters in that
-triple order.  No other module knows the layout.
+(``_rows_from_packed``): up to n = 32 with a few bit operations on one
+"sign cube" int that holds every vertex's bit matrix (``_rows_from_cube``),
+above with two bit-matrix transposes per vertex; ``to_bytes`` packs them
+back; ``Signature.from_signs`` and ``Signature.signs`` do the same for
+C(n, 3) '+'/'-' characters in that triple order.  No other module knows the
+layout, but for the binary reader's test of the last byte's padding bits
+(``io.signature_from_binary``).
 
 A Signature answers ``kind``, ``windows()``, ``sweeps()`` and ``delete(v)``
 like a ``geometry.PointSet``.  Its windows are the bit counts of its rows,
@@ -253,17 +256,23 @@ def _swap_masks(N):
     return out
 
 
-def _transpose(M, N):
-    """The transpose of the N x N bit matrix M, log2 N masked shifts."""
-    for d, mask in _swap_masks(N):
+def _delta_swaps(M, swaps):
+    """M with each (shift d, mask) delta swap applied in turn: the bits
+    under mask trade places with those d bits above them."""
+    for d, mask in swaps:
         t = (M ^ M >> d) & mask
         M ^= t ^ t << d
     return M
 
 
+def _transpose(M, N):
+    """The transpose of the N x N bit matrix M, log2 N masked shifts."""
+    return _delta_swaps(M, _swap_masks(N))
+
+
 # rows of one machine word (n <= 64) are packed and unpacked by struct in
-# one call, which halves the build at the pipeline's sizes (n <= 28) against
-# the per-row to_bytes and from_bytes of the general path
+# one call, which halves the per-vertex build against the per-row to_bytes
+# and from_bytes of the general path; the sign cube unpacks its rows so too
 _WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
@@ -283,9 +292,131 @@ def _unpack(M, m, B):
     return [int.from_bytes(buf[x * B : x * B + B], "little") for x in range(m)]
 
 
+# the sign cube of n vertices is n N^2 bits, and its plan holds about twenty
+# masks of that size, so the cube stops at 32 vertices (N <= 32); every plan
+# up to there together holds under 1 MB
+_CUBE_MAX_N = 32
+
+
 def _rows_from_packed(n, packed):
     """All sign rows of the signature whose triple of rank r is positive
-    when bit r of packed is 1, with two transposes per vertex.
+    when bit r of packed is 1, the padding bits of the last byte ignored:
+    a few whole-cube bit operations up to n = 32 (``_rows_from_cube``),
+    two transposes per vertex above (``_rows_by_vertex``)."""
+    if n <= _CUBE_MAX_N:
+        return _rows_from_cube(n, packed)
+    return _rows_by_vertex(n, packed)
+
+
+@cache
+def _cube_swaps(N):
+    """The delta swaps of a sign cube of side N, N slots of N x N bits:
+    those of ``_swap_masks(N)`` tiled over the slots, which transpose every
+    slot at once, and those that transpose the N x N grid of N-bit words,
+    word x of slot v (at bit (v N + x) N) going to word v of slot x."""
+    S = N * N // 8  # bytes per slot
+    B = N // 8
+    slots = [(d, int.from_bytes(mask.to_bytes(S, "little") * N, "little")) for d, mask in _swap_masks(N)]
+    words = []
+    s = N >> 1
+    while s:
+        cols = b"".join(b"\xff" * B if x & s else bytes(B) for x in range(N))
+        mask = b"".join(bytes(S) if v & s else cols for v in range(N))
+        words.append((s * (N - 1) * N, int.from_bytes(mask, "little")))
+        s >>= 1
+    return slots, words
+
+
+@cache
+def _cube_plan(n):
+    """What ``_rows_from_cube`` needs for n vertices, built once from bytes.
+
+    Block i of packed, its bits arank[i] .. arank[i + 1] - 1, ends on a byte
+    boundary in the copy of packed shifted up by 8 * top + r, r =
+    -arank[i + 1] % 8, which starts r * L bytes into the eight copies
+    joined.  Slot i takes the S bytes that start top bytes below that end,
+    so each block's top lands at bit 8 * top of its slot, and valid keeps
+    only the block's own bits.  There field j, the n - 1 - j signs of the
+    triples (i, j, .), sits at bit 8 * top - C(n - j, 2) of every slot, and
+    row j wants it at bit j N + j + 1: a shift that grows with j, so the
+    expand stages, one per bit of the shifts from the highest down, move
+    fields that never collide.  H holds the bits above v, up to n - 1, in
+    word v of every slot x < v; below holds in slot v the bits below x of
+    every word x < n, x != v, bit v cleared.
+    """
+    N = _side(n)
+    S = N * N // 8
+    word = _WORDS[N // 8]
+    arank = _rank_tables(n)[0]
+    top = (comb(n - 1, 2) + 7) // 8  # whole bytes under the longest block
+    L = top + (comb(n, 3) + 7) // 8 + S  # bytes per shifted copy
+    starts = [-e % 8 * L + (e + 7) // 8 for e in arank[1:]]  # r * L + ceil(e / 8), e = arank[i + 1]
+    pick = itemgetter(*(slice(a, a + S) for a in starts))
+    valid = b"".join(
+        (((1 << (b - a)) - 1) << (8 * top - b + a)).to_bytes(S, "little") for a, b in zip(arank, arank[1:])
+    )
+    fields = [(8 * top - comb(n - j, 2), n - 1 - j) for j in range(1, n - 1)]
+    shifts = [j * (N + 1) + 1 - at for j, (at, _) in enumerate(fields, 1)]
+    stages = []
+    for k in reversed(range(max(shifts).bit_length())):
+        mask = 0
+        for (at, w), e in zip(fields, shifts):
+            if e >> k & 1:
+                mask |= ((1 << w) - 1) << (at + (e >> (k + 1) << (k + 1)))
+        if mask:
+            stages.append((1 << k, int.from_bytes(mask.to_bytes(S, "little") * n, "little")))
+
+    def cube(slots):  # n slots of N words each
+        return int.from_bytes(struct.pack(f"<{n * N}{word}", *chain.from_iterable(slots)), "little")
+
+    full = (1 << n) - 1
+    pad = [0] * (N - n)
+    high = [full ^ ((2 << v) - 1) for v in range(n)] + pad
+    H = cube([0] * (x + 1) + high[x + 1 :] for x in range(n))
+    below = cube([((1 << x) - 1) & ~(1 << v) if x != v else 0 for x in range(n)] + pad for v in range(n))
+    return (
+        range(8 * top, 8 * top + 8),
+        L,
+        pick,
+        int.from_bytes(valid, "little"),
+        stages,
+        *_cube_swaps(N),
+        H,
+        below,
+        struct.Struct(f"<{n}{word}{(N - n) * N // 8}x"),
+    )
+
+
+def _rows_from_cube(n, packed):
+    """``_rows_from_packed`` for n <= 32, on one sign cube: an int of N
+    slots of N x N bits, N = _side(n), slot v at bit v N^2 holding vertex
+    v's bit matrix, row x at bit x N of the slot.
+
+    The packed blocks are dropped into their slots by one join of byte
+    slices and expanded, every slot at once (``_cube_plan``), to U: word v
+    of slot x is upper[x][v] of ``_rows_by_vertex``.  One batch transpose
+    of the slots gives cols[x][v] in the same place, and one transpose of
+    the word grid moves cols[x][v] | (upper[x][v] ^ H) to word x of slot v,
+    so that V, that grid or U, holds in slot v the rows above the diagonal
+    (``up`` there) of vertex v.  R = V | (V's batch transpose ^ below)
+    then completes the rows below the diagonal, as there.  About 130
+    operations on ints of at most N^3 bits in all at n = 28, and one
+    unpack.
+    """
+    offsets, L, pick, valid, stages, slots, words, H, below, unpack = _cube_plan(n)
+    copies = b"".join([(packed << s).to_bytes(L, "little") for s in offsets])
+    U = int.from_bytes(b"".join(pick(copies)), "little") & valid
+    for d, mask in stages:
+        t = U & mask
+        U ^= t ^ t << d
+    V = U | _delta_swaps(_delta_swaps(U, slots) ^ U ^ H, words)
+    R = V | (_delta_swaps(V, slots) ^ below)
+    return list(map(list, unpack.iter_unpack(R.to_bytes(n * unpack.size, "little"))))
+
+
+def _rows_by_vertex(n, packed):
+    """``_rows_from_packed`` with two transposes per vertex: the only build
+    above 32 vertices, and the tests' oracle of the cube.
 
     upper[i][j], i < j, is the row (i, j) restricted to its bits k > j,
     which are the consecutive ranks of the triples (i, j, .).  Write s for

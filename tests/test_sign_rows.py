@@ -31,6 +31,7 @@ from crossnum.heuristics import SearchBudget, sig_flip_search
 from crossnum.io import load_points
 from crossnum.signatures import (
     Signature,
+    convex_signature,
     count_crossings_sig,
     is_realizable,
     realizable_after_flip,
@@ -39,6 +40,7 @@ from crossnum.signatures import (
     signature_of,
     _hull_order,
     _pack,
+    _rows_by_vertex,
     _side,
     _signotope_scan,
     _transpose,
@@ -408,12 +410,26 @@ def test_scan_matches_relabel_oracle():
 
 def test_arbitrary_signs_match_packed_oracle():
     # padding bits set on purpose; the rows ignore them, as the packed
-    # layout cleared them
+    # layout cleared them.  Up to n = 40 (the cube's sides 8, 16 and 32 and
+    # its last n, 32) the rows equal the per-vertex build's, and up to
+    # n = 20 every sign is checked against the packed layout too
     rng = random.Random(1803)
-    for n in range(3, 21):
+    for n in range(3, 41):
+        for D in (Signature(n), convex_signature(n)):
+            assert D._rows == _rows_by_vertex(n, int.from_bytes(D.to_bytes(), "little")), n
+            assert Signature.from_signs(n, D.signs()) == D, n
+        used = comb(n, 3) % 8
         for _ in range(3):
-            raw = bytes(rng.getrandbits(8) for _ in range((comb(n, 3) + 7) // 8))
-            D, P = Signature(n, raw), PackedSignature(n, raw)
+            raw = bytearray(rng.getrandbits(8) for _ in range((comb(n, 3) + 7) // 8))
+            if used:
+                raw[-1] |= 0xFF ^ ((1 << used) - 1)
+            raw = bytes(raw)
+            D = Signature(n, raw)
+            assert D._rows == _rows_by_vertex(n, int.from_bytes(raw, "little")), n
+            assert Signature.from_signs(n, D.signs()) == D, n
+            if n > 20:
+                continue
+            P = PackedSignature(n, raw)
             assert D.to_bytes() == P.to_bytes() and D.signs() == P.signs()
             assert hash(D) == hash((n, P.to_bytes()))
             assert all(D.sign(*t) == P.sign(*t) for t in permutations(range(n), 3))
