@@ -4,7 +4,8 @@ Doubling replaces each vertex with two copies pulled apart along its matched
 halving line.  The crossing count of the result obeys an exact recurrence,
 so both doubling operations verify their output against the predicted count
 -- and, for signatures, against realizability -- before returning; a result
-is never handed back unverified.
+is never handed back unverified.  A doubled signature's rows are built from
+the original's rows, O(n^2) row operations.
 
 The bound formulas turn a drawing's size and crossing count into exact
 rational upper bounds on the rectilinear and pseudolinear crossing
@@ -16,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from .geometry import DegenerateError, PointSet, _points, count_crossings
-from .signatures import Signature, count_crossings_sig, is_realizable
+from .signatures import _doubled, count_crossings_sig, is_realizable
 from .halving import HalvingMatching, slot_partner
 
 
@@ -234,9 +235,10 @@ def double_signature(D, M):
     its matched partner t(i).  Triples of three distinct originals inherit
     their sign; (i+, i-, x) is signed by x's side of that pseudoline; and
     when x is the partner itself, by the side its own copies move to, which
-    is the orientation of (i, t(i), t(t(i))).  The result must be realizable
-    and match the pseudolinear recurrence exactly; ``is_realizable`` leaves
-    it marked realizable.
+    is the orientation of (i, t(i), t(t(i))).  The rows are built from D's
+    rows (``signatures._doubled``).  The result must be realizable and match the
+    pseudolinear recurrence exactly; ``is_realizable`` leaves it marked
+    realizable.
     """
     n = D.n
     if not isinstance(M, HalvingMatching) or set(M.assignments) != set(range(n)):
@@ -248,30 +250,7 @@ def double_signature(D, M):
     base = count_crossings_sig(D)
     predicted = predicted_double("pseudo", n, base)
     N = 2 * n
-    signs = D.signs()
-    rank = D.rank
-    sign = D.sign
-    rows = []  # the signs of the triples a < b < c of copies, one string per a
-    for a in range(N):
-        oa = a >> 1
-        row = []
-        for b in range(a + 1, N):
-            ob = b >> 1
-            for c in range(b + 1, N):
-                oc = c >> 1
-                if oa != ob and ob != oc:
-                    row.append(signs[rank(oa, ob, oc)])
-                    continue
-                # both copies of v, and copy xc of another vertex x
-                v, xc = (oa, c) if oa == ob else (ob, a)
-                x = xc >> 1
-                if x != t[v]:
-                    s = sign(v, t[v], x)
-                else:
-                    s = sign(v, t[v], t[x]) * (1 if xc & 1 else -1)
-                row.append("+" if s > 0 else "-")
-        rows.append("".join(row))
-    out = Signature.from_signs(N, "".join(rows))
+    out = _doubled(D, t)
     if not is_realizable(out):
         raise VerificationError("doubled signature is not realizable")
     c2 = count_crossings_sig(out)

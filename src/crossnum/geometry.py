@@ -14,14 +14,15 @@ has two levels (``_key_scale``): a one-word key sorts the directions first,
 and the exact key, scaled once for the whole point set, is computed only for
 directions whose one-word keys tie.  A direction and its opposite share a
 key, so the sweeps of all centers key each pair of points once
-(``_sweep_pass``).
+(``_sweep_pass``).  The sweeps also give a drawing's sign rows, which side
+of each directed line every other point lies on (``sign_rows``).
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations
 from math import comb
-from operator import itemgetter
+from operator import add, itemgetter, xor
 
 
 class DegenerateError(ValueError):
@@ -420,43 +421,28 @@ def left_table(n, sweeps):
     return L, pos
 
 
-def triple_crossings(n, L, pos):
-    """The crossings through every vertex triple, read off left_table.
+def sign_rows(n, sweeps):
+    """Every sign row of a drawing, from its sweeps.
 
-    Yields (a, b, row) for every a < b in lexicographic order, where
-    row[c - b - 1] counts the 4-subsets {a, b, c, x} in convex position,
-    for c > b.  Write L[a][c] for L[a * n + c], likewise pos, let abc be
-    counterclockwise and m = n - 1.  Corner a sees
-    W_a = (pos[a][c] - pos[a][b] - 1) mod m vertices inside its angle and
-    V_a = W_a + 1 + L[a][c] - L[a][b] in the opposite cone, and likewise b
-    (from c to a) and c (from a to b).  Of the seven regions of the three
-    lines, I = (sum W + sum V - (n - 3)) / 2 vertices lie inside abc, and
-    {a, b, c, x} crosses exactly when x lies beyond an edge: n - 3 - I -
-    sum V of them.  With D_a = L[a][c] - L[a][b], D_b = L[b][a] - L[b][c]
-    and D_c = L[c][b] - L[c][a], that is (3n - 18 - 4 sum W - 3 sum D) / 2.
-    Every triple is read in the order a, b, c; for a clockwise one that
-    turns every W into m - 2 - W and every D into -D, giving
-    (4 sum W + 3 sum D - 9n + 18) / 2.  O(1) per triple, for point sets and
-    realizable signatures alike.
+    sweeps yields, for each center v in index order, its (order, avals).
+    Returns rows with rows[v][x] an n-bit int whose bit y is set when y lies
+    left of v->x, the sign row of ``signatures.Signature`` (bits v and x
+    are 0).  Around v the vertices left of v->x are the avals[t] that follow
+    x = order[t] in the rotation, so with P[k] the XOR of the bits of the
+    first k entries of the rotation taken twice around, the row is
+    P[t + 1 + avals[t]] ^ P[t + 1]: O(n) int operations per center, no
+    orientation tested.
     """
-    m = n - 1
-    ccw0 = 3 * n - 18
-    cw0 = 9 * n - 18
-    for a in range(n - 2):
-        # row a of L and pos, and column a of pos: Qa[c] = pos[c][a]
-        La, Pa, Qa = L[a * n:a * n + n], pos[a * n:a * n + n], pos[a::n]
-        for b in range(a + 1, n - 1):
-            Lb, Pb, Qb = L[b * n:b * n + n], pos[b * n:b * n + n], pos[b::n]
-            lab, pab, pba = La[b], Pa[b], Pb[a]
-            dl = Lb[a] - lab
-            row = []
-            for c in range(b + 1, n):
-                wa = (Pa[c] - pab - 1) % m
-                w = wa + (pba - Pb[c] - 1) % m + (Qb[c] - Qa[c] - 1) % m
-                # 4 sum W + 3 sum D, with L[c][x] = n - 2 - L[x][c]
-                s = 4 * w + 3 * (2 * (La[c] - Lb[c]) + dl)
-                row.append((ccw0 - s) >> 1 if wa < lab else (s - cw0) >> 1)
-            yield a, b, row
+    rows = []
+    for order, avals in sweeps:
+        bits = [1 << x for x in order]
+        P = list(accumulate(bits + bits, xor, initial=0))
+        row = [0] * n
+        ends = map(P.__getitem__, map(add, range(1, n), avals))
+        for x, r in zip(order, map(xor, ends, P[1:n])):
+            row[x] = r
+        rows.append(row)
+    return rows
 
 
 def removal_values(D):

@@ -14,19 +14,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import floor, inf, lcm
+from operator import add, sub
 
 from .geometry import (
     PointSet,
-    _int_table,
     _Rotations,
     _span,
     crossings_from_windows,
     left_table,
     orient,
     removal_values,
-    triple_crossings,
 )
-from .signatures import Signature, _keeps_realizable, require_realizable
+from .signatures import Signature, _crossings_through, _keeps_realizable, require_realizable, signature_of
 
 _DIRECTION_RANGE = 10**9
 
@@ -398,58 +397,29 @@ def sig_flip_search(D, budget, progress=None):
     return cur
 
 
-def _pair_tables(n, rows):
-    """Crossing count and the crossings through each vertex and pair.
-
-    rows are triple_crossings' (a, b, row) triples.  A crossing through a
-    and b has two more endpoints, so inv2[a * n + b] (a < b; the entries on
-    and below the diagonal stay 0) is half the sum over the triples through
-    a and b; a crossing through a has three more, so inv[a] is a third of
-    the sum of a's pair entries; every crossing has four endpoints, so
-    cr = sum(inv) / 4.  Returns (cr, inv, inv2), inv2 a flat n * n table
-    (``geometry._int_table``).
-    """
-    inv2 = _int_table(n)
-    for a, b, row in rows:
-        an, bn = a * n, b * n
-        inv2[an + b] += sum(row)
-        for c, t in enumerate(row, b + 1):
-            inv2[an + c] += t
-            inv2[bn + c] += t
-    inv = [0] * n
-    for a, b in combinations(range(n), 2):
-        x = inv2[a * n + b] // 2
-        inv2[a * n + b] = x
-        inv[a] += x
-        inv[b] += x
-    inv = [x // 3 for x in inv]
-    return sum(inv) // 4, inv, inv2
-
-
-def _best_removal_tuple(drawing, k):
-    """The size-k vertex subset whose removal leaves the fewest crossings, k = 2 or 3.
+def _best_removal_tuple(D, k):
+    """The size-k vertex subset of the realizable signature D whose removal
+    leaves the fewest crossings, k = 2 or 3.
 
     Every subset is scored in O(1) by inclusion-exclusion over the crossings
-    through its vertices, pairs and triple, which triple_crossings reads off
-    left_table of the n rotation sweeps: O(n^3) in all.  Ties break toward
-    the lexicographically least subset.  A signature must be realizable.
+    through its vertices, pairs and triple, which
+    ``signatures._crossings_through`` reads off the sign rows from 4-subset
+    sign parity, one step per pair.  Ties break toward the lexicographically
+    least subset.
     """
-    n = drawing.n
-    rows = triple_crossings(n, *left_table(n, drawing.sweeps()))
-    if k == 3:
-        rows = list(rows)  # read twice: for the pair tables, then to score
-    cr, inv, inv2 = _pair_tables(n, rows)
+    n = D.n
+    cr, inv, inv2, inv3 = _crossings_through(D, k == 3)
     if k == 2:
-        pairs = combinations(range(n), 2)
-        return min((cr - inv[a] - inv[b] + inv2[a * n + b], (a, b)) for a, b in pairs)[1]
+        return min((cr - inv[a] - inv[b] + inv2[a][b], (a, b)) for a, b in combinations(range(n), 2))[1]
     best = None
-    for a, b, row in rows:
-        base = cr - inv[a] - inv[b] + inv2[a * n + b]
-        an, bn = a * n, b * n
-        for c, t in enumerate(row, b + 1):
-            score = base - inv[c] + inv2[an + c] + inv2[bn + c] - t
+    for (a, b), through in zip(combinations(range(n), 2), inv3):
+        if through:
+            c0 = b + 1
+            scores = list(map(sub, map(add, inv2[a][c0:], inv2[b][c0:]), map(add, inv[c0:], through)))
+            low = min(scores)
+            score = cr - inv[a] - inv[b] + inv2[a][b] + low
             if best is None or score < best[0]:
-                best = (score, (a, b, c))
+                best = (score, (a, b, c0 + scores.index(low)))
     return best[1]
 
 
@@ -461,12 +431,14 @@ def shrink(drawing, target_n, tuple_size=1, emit=None):
     on the final step when the remaining descent is smaller).  Size 1 uses
     removal values directly, O(n^2 log n) per step; sizes 2 and 3 score
     every subset from the crossings through each vertex, pair and triple,
-    read off the n rotation sweeps in O(n^3) per step
-    (``geometry.triple_crossings``).  Works on point sets and realizable
-    signatures alike: a signature is checked once (``require_realizable``),
-    since deleting vertices keeps it realizable, and a non-realizable one
-    raises ValueError before the first step.  Every intermediate drawing is
-    passed to ``emit`` when given.
+    read off the sign rows by 4-subset sign parity in C(n, 2) steps on ints
+    of about n^2 bits (``_best_removal_tuple``).  A point set's sign rows
+    are read off its sweeps once (``signature_of``) and lose the removed
+    vertices beside it.  Works on point sets and realizable signatures
+    alike: a signature is checked once (``require_realizable``), since
+    deleting vertices keeps it realizable, and a non-realizable one raises
+    ValueError before the first step.  Every intermediate drawing is passed
+    to ``emit`` when given.
     """
     if tuple_size not in (1, 2, 3):
         raise ValueError("tuple_size must be 1, 2 or 3")
@@ -477,15 +449,19 @@ def shrink(drawing, target_n, tuple_size=1, emit=None):
         raise ValueError("drawing already has at most target_n vertices")
     if isinstance(cur, Signature):
         require_realizable(cur)
+    # the sign rows of a point set, which lose what it loses
+    twin = signature_of(cur) if tuple_size > 1 and not isinstance(cur, Signature) else None
     while cur.n > target_n:
         k = min(tuple_size, cur.n - target_n)
         if k == 1:
             vals = removal_values(cur)
             sel = (min(range(cur.n), key=lambda x: (vals[x], x)),)
         else:
-            sel = _best_removal_tuple(cur, k)
+            sel = _best_removal_tuple(cur if twin is None else twin, k)
         for x in sorted(sel, reverse=True):
             cur = cur.delete(x)
+            if twin is not None:
+                twin = twin.delete(x)
         if emit is not None:
             emit(cur)
     return cur

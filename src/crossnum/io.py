@@ -50,9 +50,9 @@ def _effective_lines(text):
     return out
 
 
-def _parse_latex_points(text):
+def _parse_latex_points(lines):
     pts = []
-    for no, s in _effective_lines(text):
+    for no, s in lines:
         s = _LABEL.sub(" ", s.replace("$", " ").replace("\\", " "))
         for ch in "(),;{}":
             s = s.replace(ch, " ")
@@ -72,12 +72,16 @@ def _parse_latex_points(text):
 
 def parse_points(text):
     """Parse a point-set file body (plain or LaTeX itemize style)."""
-    lines = _effective_lines(text)
+    return _points_from_lines(_effective_lines(text))
+
+
+def _points_from_lines(lines):
+    """``parse_points`` of the text whose ``_effective_lines`` are lines."""
     if not lines:
         raise ParseError("empty point file")
     no, head = lines[0]
     if not _INT.match(head):
-        return _parse_latex_points(text)
+        return _parse_latex_points(lines)
     n = int(head)
     if n < 0:
         raise ParseError("negative point count", no)
@@ -100,7 +104,11 @@ def format_points(S):
 
 def parse_signature_text(text):
     """Parse the textual '+'/'-' stream form of a signature."""
-    lines = _effective_lines(text)
+    return _signature_from_lines(_effective_lines(text))
+
+
+def _signature_from_lines(lines):
+    """``parse_signature_text`` of the text whose ``_effective_lines`` are lines."""
     if not lines:
         raise ParseError("empty signature file")
     no, head = lines[0]
@@ -163,7 +171,9 @@ def parse_signature(data):
 
 
 def parse_drawing(data):
-    """Parse bytes or text as either a point set or a signature (sniffed)."""
+    """Parse bytes or text as either a point set or a signature (sniffed
+    from its first two effective lines, which the parser then reads on
+    from)."""
     if isinstance(data, (bytes, bytearray)):
         if data[:8] == SIG_MAGIC:
             return signature_from_binary(bytes(data))
@@ -177,8 +187,8 @@ def parse_drawing(data):
     if _INT.match(lines[0][1]) and len(lines) > 1:
         body = lines[1][1].split()[0]
         if set(body) <= set("+-"):
-            return parse_signature_text(data)
-    return parse_points(data)
+            return _signature_from_lines(lines)
+    return _points_from_lines(lines)
 
 
 def load_points(path):

@@ -11,8 +11,9 @@ A ``Registry`` keeps the parsed index and its records, keyed by the exact
 bytes of ``index.json``: every read re-reads the file and parses it again
 only when its bytes differ from the ones the records were built from, as
 after a write by another ``Registry`` on the same directory.  An accepted
-submit updates the records in place and writes the index with json's C
-encoder, so it costs parse, certify and a few list operations.
+submit updates the records in place and writes the index joined from each
+record's encoded JSON fragment, which is kept with the records, so it costs
+parse, certify and a few list operations.
 """
 
 import json
@@ -138,9 +139,10 @@ class Registry:
 
     ``_raw`` holds the bytes of ``index.json`` that ``_index`` was parsed
     from (None for no file, False when the views match no file, so that the
-    next read parses it), and per kind ``_by_n`` maps n to its record
-    and ``_ranked`` lists ((bound value, n), record) by that key, so each
-    bound's Fraction is built once.
+    next read parses it), and per kind ``_by_n`` maps n to its record,
+    ``_ranked`` lists ((bound value, n), record) by that key, so each
+    bound's Fraction is built once, and ``_frags`` maps each index key to
+    its record's encoded ``"n": {...}`` fragment of the index.
     """
 
     def __init__(self, path):
@@ -170,13 +172,16 @@ class Registry:
         self._index = index
         self._by_n = {"rect": {}, "pseudo": {}}
         self._ranked = {"rect": [], "pseudo": []}
+        self._frags = {"rect": {}, "pseudo": {}}
         for kind in ("rect", "pseudo"):
             for key, meta in index.get(kind, {}).items():
-                self._add(kind, int(key), meta)
+                self._add(kind, key, meta)
 
-    def _add(self, kind, n, meta):
-        """Put the record of (kind, n) described by meta into the views,
-        in place of the one stored before."""
+    def _add(self, kind, key, meta):
+        """Put the record of (kind, n) described by meta, under the index
+        key str(n), into the views, in place of the one stored before."""
+        n = int(key)
+        self._frags[kind][key] = f"{json.dumps(key)}: {json.dumps(meta, sort_keys=True)}"
         ranked = self._ranked[kind]
         old = self._by_n[kind].get(n)
         if old is not None:
@@ -258,22 +263,35 @@ class Registry:
             return SubmitResult(False, "not an improvement")
         relpath = os.path.join(kind, f"n{n}{_SUFFIX[kind]}")
         _atomic_write(os.path.join(self.path, relpath), payload)
-        meta = index.setdefault(kind, {})[str(n)] = {
+        key = str(n)
+        meta = index.setdefault(kind, {})[key] = {
             "crossings": crossings,
             "bound": str(bound),
             "payload": relpath,
             "provenance": provenance,
             "created_at": created_at or _now(),
         }
-        raw = (json.dumps(index, sort_keys=True) + "\n").encode()
+        self._add(kind, key, meta)
+        raw = self._index_bytes(index)
         try:
             _atomic_write(self._index_path(), raw)
         except BaseException:
             self._raw = False
             raise
         self._raw = raw
-        self._add(kind, n, meta)
         return SubmitResult(True)
+
+    def _index_bytes(self, index):
+        """The bytes of ``json.dumps(index, sort_keys=True)`` and a newline:
+        the records' fragments joined in key order, or that dump itself when
+        the index holds more than rect and pseudo records."""
+        if not self._frags.keys() >= index.keys():
+            return (json.dumps(index, sort_keys=True) + "\n").encode()
+        parts = []
+        for kind in sorted(index):
+            frags = self._frags[kind]
+            parts.append(f'"{kind}": {{{", ".join(map(frags.__getitem__, sorted(frags)))}}}')
+        return ("{" + ", ".join(parts) + "}\n").encode()
 
     # -- queries ----------------------------------------------------------------
 

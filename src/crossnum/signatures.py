@@ -25,6 +25,9 @@ C(n, 3) '+'/'-' characters in that triple order.  No other module knows the
 layout, but for the binary reader's test of the last byte's padding bits
 (``io.signature_from_binary``).
 
+``signature_of`` reads a point set's rows off its sweeps
+(``geometry.sign_rows``), with no orientation tested per triple.
+
 A Signature answers ``kind``, ``windows()``, ``sweeps()`` and ``delete(v)``
 like a ``geometry.PointSet``.  Its windows are the bit counts of its rows,
 and its sweeps the rotation around each vertex with its window counts
@@ -39,7 +42,9 @@ rows, taken in hull order, form a bit matrix whose columns keep their
 labels, and one pair of vertices tests all of its 4-subsets in a few
 operations per tile of at most 4096 bits (``_signotope_scan``).  Whether one
 flip keeps a realizable signature realizable is decided from three rows
-(``realizable_after_flip``).
+(``realizable_after_flip``).  The same packed rows give the crossings
+through every vertex, pair and triple from 4-subset sign parity, one step
+per pair (``_crossings_through``), which shrink scores its removals by.
 ``_hull_order`` is the one place that finds an extreme vertex; the SVG
 wiring diagram starts its sweep from it too.
 
@@ -58,7 +63,7 @@ from itertools import chain, combinations
 from math import comb
 from operator import itemgetter
 
-from .geometry import DegenerateError, count_crossings, orient, removal_values, _points
+from .geometry import PointSet, count_crossings, removal_values, sign_rows
 
 _TO_BITS = str.maketrans("+-", "10")
 _TO_SIGNS = str.maketrans("10", "+-")
@@ -457,32 +462,71 @@ def _rows_by_vertex(n, packed):
     return rows
 
 
+# each byte with every bit doubled, bit k to bits 2k and 2k + 1
+_DOUBLED = [sum(3 << 2 * k for k in range(8) if b >> k & 1).to_bytes(2, "little") for b in range(256)]
+
+
+def _doubled(D, t):
+    """The doubled signature of D, unverified and unmarked: copies 2v and
+    2v + 1 of vertex v pulled apart along the pseudoline through v and t(v)
+    (``doubling.double_signature``).
+
+    Triples of three distinct originals inherit their sign, so the row of
+    copies of distinct originals i and j is row (i, j) of D with every bit
+    doubled (one byte table over all rows at once), plus the bits of the
+    other copies of i and j.  Those read off S_v, the row (2v, 2v + 1):
+    row (v, t(v)) doubled, the side of the pseudoline each copy of another
+    vertex lies on, but for the copies of t(v), which lie on it; of those,
+    copy 2t(v) + 1 is on the side of t(t(v)), where t(v)'s own copies
+    move.  Then sign(p, q, p ^ 1) is bit q of S_i for p odd and its
+    complement for p even, and sign(p, q, q ^ 1) is bit p of S_j for q even
+    and its complement for q odd.  O(n^2) row operations.
+    """
+    n, rows = D.n, D._rows
+    N = 2 * n
+    B = _side(n) // 8
+    flat = _pack(list(chain.from_iterable(rows)), B).to_bytes(n * n * B, "little")
+    doubled = _unpack(int.from_bytes(b"".join(map(_DOUBLED.__getitem__, flat)), "little"), n * n, 2 * B)
+    full = (1 << N) - 1
+    S = []
+    for v in range(n):
+        tv = t[v]
+        side = rows[v][tv] >> t[tv] & 1
+        S.append(doubled[v * n + tv] | 1 << (2 * tv + side))
+    out = []
+    for p in range(N):
+        i = p >> 1
+        odd = p & 1
+        A = S[i] if odd else full ^ S[i]
+        other = 1 << (p ^ 1)
+        row = [0] * N
+        row[p ^ 1] = (full ^ S[i] ^ 3 << (p - 1)) if odd else S[i]
+        for j, e in enumerate(doubled[i * n : i * n + n]):
+            if j != i:
+                q = 2 * j
+                c = S[j] >> p & 1
+                row[q] = e | other * (A >> q & 1) | c << q + 1
+                row[q + 1] = e | other * (A >> q + 1 & 1) | (c ^ 1) << q
+        out.append(row)
+    return Signature._of_rows(N, out)
+
+
 def convex_signature(n):
     """The signature of n points in convex position, all triples positive."""
     return Signature.from_signs(n, "+" * comb(n, 3))
 
 
 def signature_of(S):
-    """Extract the triple signature of a point set in general position."""
-    pts = _points(S)
-    n = len(pts)
+    """The triple signature of a point set in general position, marked
+    realizable: its sign rows read off the set's sweeps
+    (``geometry.sign_rows``), O(n^2 log n) with no orientation tested per
+    triple.  A repeated point or three collinear points raise
+    DegenerateError, as the sweeps do."""
+    S = S if isinstance(S, PointSet) else PointSet(S)
+    n = S.n
     if n < 3:
         raise ValueError("signature needs at least 3 points")
-    rows = []  # the signs of the triples i < j < k, one string per i
-    for i in range(n):
-        pi = pts[i]
-        row = []
-        for j in range(i + 1, n):
-            pj = pts[j]
-            for k in range(j + 1, n):
-                o = orient(pi, pj, pts[k])
-                if o == 0:
-                    raise DegenerateError(f"collinear triple ({i}, {j}, {k})")
-                row.append("+" if o > 0 else "-")
-        rows.append("".join(row))
-    D = Signature.from_signs(n, "".join(rows))
-    D._realizable = True
-    return D
+    return Signature._of_rows(n, sign_rows(n, S.sweeps()), realizable=True)
 
 
 def _pair_crossing(sign, a, b, c, d):
@@ -655,6 +699,62 @@ def _signotope_scan(D, order):
                     break
                 mask = masks[t]
     return True
+
+
+def _lane_counts(M, m, B):
+    """The bit counts of the first m rows of the bit matrix M, whose rows
+    are 8 * B bits wide and all 0 from row m on: one count per machine word
+    (``_WORDS``), and the words of each row summed above 64 bits."""
+    w = min(B, 8)
+    words = struct.unpack(f"<{m * B // w}{_WORDS[w]}", M.to_bytes(m * B, "little"))
+    counts = map(int.bit_count, words)
+    return list(counts) if w == B else list(map(sum, zip(*[counts] * (B // w))))
+
+
+def _crossings_through(D, triples=False):
+    """The crossing count of a realizable signature and the crossings
+    through each of its vertices and pairs, and through each triple when
+    triples is set, from the parity of 4-subset signs.
+
+    A 4-subset is in convex position exactly when the product of its four
+    triple signs is +1; relabelling two of its vertices reverses two of the
+    four, so this holds under any labelling.  In bits (1 for +), {a, b, c, d}
+    crosses exactly when abc ^ abd ^ acd ^ bcd is 0.  R[a] packs vertex a's
+    rows, row (a, c) in lane c (``_pack``), as the signotope scan does.  For
+    a pair a < b, R[a] ^ R[b] ^ the row (a, b) copied into every lane ^
+    column b of R[a] spread across each lane holds acd ^ bcd ^ abd ^ acb at
+    bit d of lane c, and acb = 1 - abc, so the bit is set exactly when
+    {a, b, c, d} crosses.  Its lane b and column b are 0 by construction,
+    so masked to lanes and bits c != d other than a, its bit count is twice
+    the crossings through a and b, and lane c's bit count the crossings
+    through a, b and c: one step of ten int operations per pair.  A crossing through a has three more endpoints, so
+    inv[a] is a third of a's pair counts summed, and every crossing has
+    four, so cr = sum(inv) / 4.
+
+    Returns (cr, inv, inv2, inv3): inv2[a][b] counts the crossings through a
+    and b (0 when a == b), and inv3, when triples is set, lists for every
+    pair a < b in lexicographic order the crossings through a, b and c for
+    c = b + 1 .. n - 1 (None otherwise).
+    """
+    n, rows = D.n, D._rows
+    N = _side(n)
+    B = N // 8
+    lane = (1 << N) - 1
+    firsts = int.from_bytes(b"\x01".ljust(B, b"\x00") * n, "little")  # bit 0 of each lane
+    off = _pack([((1 << n) - 1) ^ 1 << c for c in range(n)], B)  # c != d, both below n
+    keep = [off & ~(lane << a * N | firsts << a) for a in range(n)]  # and neither is a
+    R = [_pack(row, B) for row in rows]
+    inv2 = [[0] * n for _ in range(n)]
+    inv3 = [] if triples else None
+    for a in range(n - 1):
+        Ra, ra, Ka, Pa = R[a], rows[a], keep[a], inv2[a]
+        for b in range(a + 1, n):
+            Y = (Ra ^ R[b] ^ ra[b] * firsts ^ (Ra >> b & firsts) * lane) & Ka
+            Pa[b] = inv2[b][a] = Y.bit_count() >> 1
+            if triples:
+                inv3.append(_lane_counts(Y >> (b + 1) * N, n - 1 - b, B))
+    inv = [sum(row) // 3 for row in inv2]
+    return sum(inv) // 4, inv, inv2, inv3
 
 
 def is_realizable(D):

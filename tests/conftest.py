@@ -54,6 +54,19 @@ def rand_general(rng, n, lim=60):
             return PointSet(tuple(pts))
 
 
+def horizontal_pairs(rng, pairs, lim):
+    """A point set in general position made of pairs level with each other."""
+    while True:
+        pts = []
+        for _ in range(pairs):
+            y = rng.randint(-lim, lim)
+            x1 = rng.randint(-lim, lim)
+            x2 = rng.randint(-lim, lim)
+            pts += [(x1, y), (x2, y)]
+        if len(set(pts)) == len(pts) and general_position(pts):
+            return PointSet(tuple(pts))
+
+
 def rand_rng(seed):
     return random.Random(seed)
 

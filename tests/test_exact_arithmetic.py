@@ -8,7 +8,7 @@ from pathlib import Path
 
 import crossnum
 
-EXACT_MODULES = ("geometry.py", "halving.py", "doubling.py", "signatures.py", "registry.py")
+EXACT_MODULES = ("geometry.py", "halving.py", "doubling.py", "signatures.py", "registry.py", "io.py")
 FLOAT_NAMES = {"float", "truediv", "itruediv", "fsum"}
 
 

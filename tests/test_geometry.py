@@ -28,7 +28,7 @@ from crossnum.geometry import (
 from crossnum.halving import halving_matching
 from crossnum.io import load_points
 
-from conftest import convex_points, general_position, rand_general
+from conftest import convex_points, general_position, horizontal_pairs, rand_general
 
 
 def test_orient_basics():
@@ -319,19 +319,6 @@ def _spied_sweeps(monkeypatch, S):
         return list(S.sweeps()), calls
 
 
-def _horizontal_pairs(rng, pairs, lim):
-    """A point set in general position made of pairs level with each other."""
-    while True:
-        pts = []
-        for _ in range(pairs):
-            y = rng.randint(-lim, lim)
-            x1 = rng.randint(-lim, lim)
-            x2 = rng.randint(-lim, lim)
-            pts += [(x1, y), (x2, y)]
-        if len(set(pts)) == len(pts) and general_position(pts):
-            return PointSet(tuple(pts))
-
-
 def test_two_level_sweeps_match_sweep_around(monkeypatch):
     golden = load_points(str(resources.files("crossnum.data") / "k2643.txt"))
     rng = random.Random(151)
@@ -361,7 +348,7 @@ def test_two_level_sweeps_match_sweep_around(monkeypatch):
             assert not any(flags)
     for lim in (10**3, 2**140):
         for _ in range(6):
-            S = _horizontal_pairs(rng, 6, lim)
+            S = horizontal_pairs(rng, 6, lim)
             assert list(S.sweeps()) == [_cross_sweep(S.points, c) for c in range(S.n)]
 
 
@@ -476,7 +463,7 @@ def test_sweep_pass_hands_on_axis_keys():
     for lim in (10**3, 2**140):
         rightward = leftward = 0
         for _ in range(8):
-            S = _horizontal_pairs(rng, 6, lim)
+            S = horizontal_pairs(rng, 6, lim)
             got = list(S.sweeps())
             assert got == [sweep_around(S.points, c) for c in range(S.n)]
             assert got == [_cross_sweep(S.points, c) for c in range(S.n)]

@@ -1,8 +1,9 @@
 """Local search heuristics: exactness of incremental counts, determinism,
 monotonicity, and the greedy shrink against brute subset oracles.
 
-The left-count delta and the rotation tables are checked against the O(n)
-and O(n^4) 4-subset scans they replaced (_flip_delta, _involvements), and
+The left-count delta and the crossings through every vertex, pair and
+triple are checked against the O(n) and O(n^4) 4-subset scans
+(_flip_delta, _involvements), and
 the integer ray step against the Fraction one (_ray_step_oracle), and flip
 search against its rotation-table, ``rng.sample`` loop
 (sig_flip_search_oracle), all kept here as oracles."""
@@ -27,14 +28,12 @@ from crossnum.geometry import (
     left_table,
     orient,
     sweep_around,
-    triple_crossings,
 )
 from crossnum.halving import halving_matching, halving_matching_sig
 from crossnum.heuristics import (
     SearchBudget,
     _left_delta,
     _left_update,
-    _pair_tables,
     _ray_step,
     _simplest_between,
     cell_walk,
@@ -598,15 +597,17 @@ def test_rotation_tables_match_involvements_oracle():
         for dr in (S, signature_of(S)):
             n = dr.n
             cr, inv, inv2, inv3 = _involvements(dr)
-            rows = list(triple_crossings(n, *left_table(n, _sweeps(dr))))
-            got3 = {(a, b, c): t for a, b, row in rows for c, t in enumerate(row, b + 1)}
-            assert len(got3) == comb(n, 3)
+            D = dr if isinstance(dr, Signature) else signature_of(dr)
+            got_cr, got_inv, got2, rows = signatures._crossings_through(D, triples=True)
+            pairs = list(combinations(range(n), 2))
+            got3 = {(a, b, c): t for (a, b), row in zip(pairs, rows) for c, t in enumerate(row, b + 1)}
+            assert len(rows) == len(pairs) and len(got3) == comb(n, 3)
             assert got3 == {t: inv3.get(t, 0) for t in combinations(range(n), 3)}
-            got_cr, got_inv, got2 = _pair_tables(n, rows)
             assert (got_cr, got_inv) == (cr, inv)
-            assert got2.tolist() == [
-                inv2.get((a, b), 0) if a < b else 0 for a in range(n) for b in range(n)
+            assert got2 == [
+                [inv2.get((min(a, b), max(a, b)), 0) if a != b else 0 for b in range(n)] for a in range(n)
             ]
+            assert signatures._crossings_through(D) == (cr, inv, got2, None)
 
 
 def _chain24():

@@ -282,6 +282,42 @@ def test_best_records_follow_interleaved_submits(reg, tmp_path):
     }
 
 
+def test_index_bytes_are_the_json_dump(reg, tmp_path):
+    # the index joined from the records' fragments is the sorted json dump
+    # byte for byte: keys ordered as strings, non-ASCII provenance escaped,
+    # a kind missing from the file left out, other top-level keys kept
+    index_path = os.path.join(reg.path, "index.json")
+
+    def dumped():
+        with open(index_path, encoding="utf-8") as fh:
+            text = fh.read()
+        index = json.loads(text)
+        assert text == json.dumps(index, sort_keys=True) + "\n"
+        return index
+
+    rng = random.Random(2501)
+    for S in (convex_points(3), rand_general(rng, 10), convex_points(4), rand_general(rng, 12)):
+        assert reg.submit_drawing(S, f"n={S.n} \u2192 \u00e9")
+    assert dumped()["pseudo"] == {}
+    assert reg.submit_drawing(convex_signature(11), "sig")
+    assert sorted(dumped()["pseudo"]) == ["11"]
+    index = dumped()
+    del index["pseudo"]
+    index["notes"] = {"z": [1, 2], "a": "\u00e9"}
+    with open(index_path, "w", encoding="utf-8") as fh:
+        json.dump(index, fh)
+    assert reg.submit_drawing(K5_ONE, "better")
+    after = dumped()
+    assert after["notes"] == index["notes"] and "pseudo" not in after
+    assert after["rect"]["5"]["provenance"] == "better"
+    del after["notes"]
+    with open(index_path, "w", encoding="utf-8") as fh:
+        json.dump(after, fh)
+    assert reg.submit_drawing(K4_INNER, "inner")
+    assert list(dumped()) == ["rect"]
+    assert Registry(tmp_path / "reg").records() == reg.records()
+
+
 def _temp_files(reg):
     return [
         name

@@ -11,7 +11,12 @@ back to per-triple sign queries.
 
 The realizability scan that relabels the rows by bit-matrix transposes and
 then steps over one triple (a, b, c) at a time is kept here too, as the
-oracle of the tiled scan that replaced it.
+oracle of the tiled scan that replaced it, and so are the builders that
+signed one triple at a time: ``signature_of`` by one ``orient`` per triple
+(signature_of_oracle), the oracle of the rows read off a point set's
+sweeps, and ``double_signature`` by one ``rank`` or ``sign`` per triple of
+copies (double_signature_oracle), the oracle of the doubled rows built from
+the original's rows.
 """
 
 import random
@@ -25,7 +30,14 @@ import pytest
 
 from crossnum.doubling import double_points, double_signature
 from crossnum import signatures
-from crossnum.geometry import PointSet, count_crossings, crossings_from_windows, removal_values
+from crossnum.geometry import (
+    DegenerateError,
+    PointSet,
+    count_crossings,
+    crossings_from_windows,
+    orient,
+    removal_values,
+)
 from crossnum.halving import halving_matching, halving_matching_sig, slot_partner
 from crossnum.heuristics import SearchBudget, sig_flip_search
 from crossnum.io import load_points
@@ -47,7 +59,7 @@ from crossnum.signatures import (
     _unpack,
 )
 
-from conftest import rand_general
+from conftest import horizontal_pairs, rand_general
 
 
 class PackedSignature:
@@ -449,6 +461,112 @@ def test_double_signature_matches_packed_oracle():
         D2, _ = double_signature(D, M)
         partner = [slot_partner(D, M.assignments[v]) for v in range(D.n)]
         assert D2.to_bytes() == double_oracle(D, partner).to_bytes(), S.n
+
+
+def signature_of_oracle(S):
+    """signature_of as it was: one orient per triple i < j < k, joined into
+    C(n, 3) signs."""
+    pts = list(S)
+    n = len(pts)
+    signs = []
+    for i, j, k in combinations(range(n), 3):
+        o = orient(pts[i], pts[j], pts[k])
+        if o == 0:
+            raise DegenerateError(f"collinear triple ({i}, {j}, {k})")
+        signs.append("+" if o > 0 else "-")
+    return Signature.from_signs(n, "".join(signs))
+
+
+def double_signature_oracle(D, M):
+    """double_signature's signs as it built them, unverified: one rank or
+    sign per triple a < b < c of copies."""
+    n = D.n
+    t = [slot_partner(D, M.assignments[v]) for v in range(n)]
+    N = 2 * n
+    signs = D.signs()
+    out = []
+    for a, b, c in combinations(range(N), 3):
+        oa, ob, oc = a >> 1, b >> 1, c >> 1
+        if oa != ob and ob != oc:
+            out.append(signs[D.rank(oa, ob, oc)])
+            continue
+        v, xc = (oa, c) if oa == ob else (ob, a)
+        x = xc >> 1
+        if x != t[v]:
+            s = D.sign(v, t[v], x)
+        else:
+            s = D.sign(v, t[v], t[x]) * (1 if xc & 1 else -1)
+        out.append("+" if s > 0 else "-")
+    return Signature.from_signs(N, "".join(out))
+
+
+def test_signature_of_matches_orient_oracle():
+    sets = [k2643_subset(n, n) for n in (12, 24, 96, 301)]
+    last = chain_sets()[-1]
+    chain = chain_sets() + [double_points(last, halving_matching(last))[0]]
+    sets += [S for S in chain if S.n >= 6]
+    rng = random.Random(2501)
+    sets += [horizontal_pairs(rng, pairs, lim) for lim in (10**3, 2**140) for pairs in (2, 3, 6, 9)]
+    assert [S.n for S in chain if S.n >= 6] == [6, 12, 24, 48, 96, 192]
+    for S in sets:
+        D = signature_of(S)
+        assert D == signature_of_oracle(S) and D._realizable, S.n
+    assert signature_of(list(sets[0])) == signature_of(sets[0])
+    for pts in (
+        ((0, 0), (5, 1), (0, 0), (2, 7)),  # a repeated point
+        ((0, 0), (5, 1), (2, 9), (10, 2)),  # 0, 1 and 3 collinear
+        ((3, 3), (0, 0), (7, 1), (-3, -3)),  # collinear through the origin
+        ((0, 4), (1, 7), (9, 4), (4, 4)),  # a level collinear triple
+    ):
+        with pytest.raises(DegenerateError):
+            signature_of_oracle(pts)
+        with pytest.raises(DegenerateError):
+            signature_of(pts)
+
+
+def test_doubled_rows_match_per_triple_oracle():
+    chain = [signature_of(S) for S in chain_sets()]
+    assert [D.n for D in chain] == [3, 6, 12, 24, 48, 96]
+    rng = random.Random(2502)
+    randoms = (signature_of(rand_general(rng, rng.randint(3, 15))) for _ in range(200))
+    doubled = []
+    for D in chain + list(randoms):
+        M = halving_matching_sig(D)
+        if not M:
+            continue
+        D2, report = double_signature(D, M)
+        want = double_signature_oracle(D, M)
+        assert D2 == want and D2.to_bytes() == want.to_bytes(), D.n
+        assert D2._realizable and report.output_crossings == count_crossings_sig(want)
+        doubled.append(D.n)
+    assert doubled[:6] == [3, 6, 12, 24, 48, 96]
+    assert len(doubled) >= 50 and sum(n % 2 for n in doubled) >= 10
+
+
+def test_lane_counts_match_per_row_bit_counts():
+    rng = random.Random(2503)
+    for B in (1, 2, 4, 8, 16, 32):
+        for m in (0, 1, 5, 24):
+            M = rng.getrandbits(8 * B * m) if m else 0
+            want = [(M >> (8 * B * x) & ((1 << 8 * B) - 1)).bit_count() for x in range(m)]
+            assert signatures._lane_counts(M, m, B) == want, (B, m)
+
+
+def test_crossings_through_above_one_word():
+    # rows of more than 64 bits are counted a word at a time; the counts
+    # through vertices, pairs and triples give the counts after deleting them
+    D = signature_of(k2643_subset(70, 70))
+    n = D.n
+    cr, inv, inv2, inv3 = signatures._crossings_through(D, triples=True)
+    assert _side(n) == 128 and cr == count_crossings_sig(D)
+    assert inv == [cr - x for x in removal_values_sig(D)]
+    assert sum(map(sum, inv3)) == 4 * cr  # four triples in every crossing
+    through = dict(zip(combinations(range(n), 2), inv3))
+    for a, b, c in [(0, 1, 2), (3, 40, 41), (12, 30, 68), (67, 68, 69), (5, 6, 69)]:
+        pair = cr - inv[a] - inv[b] + inv2[a][b]
+        assert pair == count_crossings_sig(D.delete(b).delete(a)), (a, b)
+        triple = pair - inv[c] + inv2[a][c] + inv2[b][c] - through[a, b][c - b - 1]
+        assert triple == count_crossings_sig(D.delete(c).delete(b).delete(a)), (a, b, c)
 
 
 @pytest.fixture
